@@ -153,11 +153,6 @@ class TrainerConfig:
     # run resumed from such a state is bitwise identical to one that
     # was never interrupted.
     checkpoint_every: int = 0
-    # zlib-compress the per-epoch weight broadcast to collection
-    # workers.  Non-semantic: it is a transport encoding only — the
-    # decoded state dict (and therefore every collected episode) is
-    # bitwise identical either way.
-    compress_broadcast: bool = False
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.episodes_per_epoch < 1:
@@ -303,7 +298,6 @@ class RLPlannerTrainer:
                 host=host,
                 port=int(port),
                 local_jobs=collect_jobs,
-                compress_broadcast=self.config.compress_broadcast,
             )
         elif collect_jobs > 1:
             self._collector = EpisodeCollector(
@@ -314,7 +308,6 @@ class RLPlannerTrainer:
                 batch_size=self.config.batch_size,
                 seed=self.config.seed,
                 encoder_channels=self.config.encoder_channels,
-                compress_broadcast=self.config.compress_broadcast,
             )
         self.async_collect = bool(self.config.async_collect)
         if self.async_collect and self._collector is None:
@@ -410,11 +403,7 @@ class RLPlannerTrainer:
 
     def _policy_payload(self) -> bytes:
         """The current policy, serialized as a broadcast payload."""
-        return dumps_payload(
-            self.network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.config.compress_broadcast,
-        )
+        return dumps_payload(self.network.state_dict(), kind=POLICY_PAYLOAD_KIND)
 
     def _collect_stale(self, weights: bytes, start: int, count: int) -> list:
         """Collect a block with an explicit (possibly stale) policy.

@@ -214,12 +214,24 @@ class BumpAssigner:
 
     @staticmethod
     def _pair_greedy(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):
-        """Sorted-distance sweep: take the closest free pair repeatedly.
+        """Greedy pairing over the distance-sorted candidate pairs.
 
         Candidates are prefiltered to the sites nearest the peer die so
         the sweep touches a small matrix; the winning pairs always lie on
         the facing perimeters, so the filter does not change the result
         in practice.
+
+        Acceptance runs in passes, not one pair at a time.  Each pass
+        takes every remaining pair that is the earliest remaining pair
+        (in sweep order) of both its row and its column, then retires
+        those rows and columns.  Run to exhaustion, the passes select
+        exactly the pairs of a sequential greedy sweep.  But the
+        ``n_pairs`` cap truncates the last pass in sweep order, so the
+        result is ``n_pairs`` pairs of that sweep's matching, not
+        always its first ``n_pairs``: for the sweep order (0,0), (1,0),
+        (1,1), (2,2) and ``n_pairs=2``, pass one picks {(0,0), (2,2)}
+        where a sequential sweep stops at {(0,0), (1,1)}.  Pairs are
+        returned in acceptance order.
         """
         keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
         center_b = xy_b.mean(axis=0)
@@ -242,8 +254,9 @@ class BumpAssigner:
         used_cols = np.zeros(keep, dtype=bool)
         # Lazy sweep over the sorted entries in chunks: each chunk drops
         # already-used rows/cols vectorized, then resolves the intra-chunk
-        # conflicts with the first-occurrence passes (small arrays).  The
-        # acceptance order is identical to a sequential sweep.
+        # conflicts with the first-occurrence passes (small arrays).  A
+        # later chunk is only reached once every earlier one is
+        # exhausted, so chunking does not change the selection.
         chunk_size = 4096
         for start in range(0, len(order), chunk_size):
             if len(chosen_a) >= n_pairs:

@@ -66,6 +66,13 @@ class Adam:
         self.eps = eps
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
+        # Two reusable temporaries per parameter: ``step`` runs the
+        # textbook update op for op, but into these buffers instead of
+        # ~10 fresh full-size arrays, so results are bitwise unchanged.
+        self._scratch = [
+            (np.empty_like(p.data), np.empty_like(p.data))
+            for p in self.parameters
+        ]
         self._t = 0
 
     def zero_grad(self) -> None:
@@ -76,16 +83,28 @@ class Adam:
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.parameters, self._m, self._v):
+        for p, m, v, (a, b) in zip(
+            self.parameters, self._m, self._v, self._scratch
+        ):
             if p.grad is None:
                 continue
+            # m = beta1 * m + (1 - beta1) * g
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            np.multiply(p.grad, 1.0 - self.beta1, out=a)
+            m += a
+            # v = beta2 * v + (1 - beta2) * g**2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad**2)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(p.grad, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, bias1, out=a)
+            np.divide(v, bias2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a *= self.lr
+            a /= b
+            p.data -= a
 
     def state_dict(self) -> dict:
         return {

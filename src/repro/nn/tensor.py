@@ -470,15 +470,20 @@ class Tensor:
             grad_mat = grad.transpose(1, 0, 2, 3).reshape(f, -1)  # (F, N*L)
             cols_flat = cols.reshape(cols.shape[0], -1)  # (K, N*L)
             grad_w = (grad_mat @ cols_flat.T).reshape(w.shape)
-            grad_cols = w_mat.T @ grad_mat
-            grad_x_pad = _col2im(
-                grad_cols, x_pad.shape, kh, kw, stride, out_h, out_w
-            )
-            if padding:
-                grad_x = grad_x_pad[:, :, padding:-padding, padding:-padding]
-            else:
-                grad_x = grad_x_pad
-            results = [(self, grad_x), (weight, grad_w)]
+            results = [(weight, grad_w)]
+            # The input gradient (a GEMM plus a col2im fold) is skipped
+            # when nothing upstream wants it: the first layer's input is
+            # the observation.
+            if self.requires_grad:
+                grad_cols = w_mat.T @ grad_mat
+                grad_x_pad = _col2im(
+                    grad_cols, x_pad.shape, kh, kw, stride, out_h, out_w
+                )
+                if padding:
+                    grad_x = grad_x_pad[:, :, padding:-padding, padding:-padding]
+                else:
+                    grad_x = grad_x_pad
+                results.append((self, grad_x))
             if bias is not None:
                 results.append((bias, grad.sum(axis=(0, 2, 3))))
             return tuple(results)

@@ -448,7 +448,6 @@ class EpisodeCollector:
         policy: RetryPolicy | None = None,
         max_pool_failures: int = 3,
         reprobe_after: int = 2,
-        compress_broadcast: bool = False,
     ):
         if jobs < 2:
             raise ValueError("EpisodeCollector needs jobs >= 2")
@@ -468,10 +467,6 @@ class EpisodeCollector:
         self.policy = policy if policy is not None else RetryPolicy()
         self.max_pool_failures = max_pool_failures
         self.reprobe_after = reprobe_after
-        # Opt-in zlib on the per-epoch weight broadcast.  Transport
-        # encoding only: loads_payload auto-detects it, the decoded
-        # state dict is bitwise identical, so episodes are too.
-        self.compress_broadcast = bool(compress_broadcast)
         self._env_args = (system, reward_calculator, env_config)
         self._seed = seed
         self._initargs = (
@@ -597,11 +592,7 @@ class EpisodeCollector:
         merged in strict index order — bitwise identical to one
         in-process :func:`collect_slice` over the same range.
         """
-        weights = dumps_payload(
-            network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.compress_broadcast,
-        )
+        weights = dumps_payload(network.state_dict(), kind=POLICY_PAYLOAD_KIND)
         return self.collect_with_weights(
             weights, start_index, count, greedy=greedy
         )

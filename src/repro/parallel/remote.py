@@ -1029,7 +1029,6 @@ class RemoteEpisodeCollector:
         policy: RetryPolicy | None = None,
         max_remote_failures: int = 3,
         reprobe_after: int = 2,
-        compress_broadcast: bool = False,
     ):
         if workers < 1:
             raise ValueError("RemoteEpisodeCollector needs workers >= 1")
@@ -1050,10 +1049,6 @@ class RemoteEpisodeCollector:
         self.task_timeout_s = task_timeout_s
         self.max_remote_failures = max_remote_failures
         self.reprobe_after = reprobe_after
-        # Transport encoding only: workers auto-detect the zlib wrapper in
-        # loads_payload, the decoded state dict is bitwise identical, so
-        # collected episodes are too.
-        self.compress_broadcast = bool(compress_broadcast)
         self._lease_s = lease_s
         self._heartbeat_s = heartbeat_s
         self._host = host
@@ -1080,7 +1075,6 @@ class RemoteEpisodeCollector:
                 seed=seed,
                 encoder_channels=encoder_channels,
                 policy=self.policy,
-                compress_broadcast=self.compress_broadcast,
             )
         self._fallback = ReplicaCollector(
             system,
@@ -1154,11 +1148,7 @@ class RemoteEpisodeCollector:
         self, network, start_index: int, count: int, greedy: bool = False
     ) -> list:
         """Collect ``count`` episodes from ``start_index`` (merged)."""
-        weights = dumps_payload(
-            network.state_dict(),
-            kind=POLICY_PAYLOAD_KIND,
-            compress=self.compress_broadcast,
-        )
+        weights = dumps_payload(network.state_dict(), kind=POLICY_PAYLOAD_KIND)
         return self.collect_with_weights(
             weights, start_index, count, greedy=greedy
         )

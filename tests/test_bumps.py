@@ -93,6 +93,35 @@ class TestEstimators:
         assert netlist_hpwl(p) == pytest.approx(estimate_wirelength(p))
 
 
+class TestPairGreedy:
+    """The pass-wise acceptance contract of ``BumpAssigner._pair_greedy``.
+
+    Sites are laid out so the distance-sorted sweep order is (0,0),
+    (1,0), (1,1), (2,2) and every other pair is farther.
+    """
+
+    XY_A = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
+    XY_B = np.array([[0.0, 0.0], [3.0, 0.0], [100.0, 2.5]])
+
+    def _pairs(self, n_pairs):
+        chosen_a, chosen_b = BumpAssigner._pair_greedy(
+            self.XY_A, self.XY_B, n_pairs
+        )
+        return list(zip(chosen_a.tolist(), chosen_b.tolist()))
+
+    def test_cap_truncates_the_first_pass(self):
+        # A sequential sweep would stop at [(0, 0), (1, 1)]: (1, 1) is
+        # earlier than (2, 2), but it only becomes free in pass two.
+        assert self._pairs(2) == [(0, 0), (2, 2)]
+
+    def test_exhausted_passes_match_the_sequential_sweep(self):
+        # Same set as a sequential sweep, in pass order.
+        assert self._pairs(3) == [(0, 0), (2, 2), (1, 1)]
+
+    def test_single_pair_is_the_closest(self):
+        assert self._pairs(1) == [(0, 0)]
+
+
 class TestAssignment:
     def test_total_wires_preserved(self, two_die_system):
         p = placed(two_die_system, {"a": (0, 0), "b": (20, 0)})

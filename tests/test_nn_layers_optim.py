@@ -184,6 +184,34 @@ class TestOptimizers:
             optimizer.step()
         np.testing.assert_allclose(params[0].data, [0.0, 0.0], atol=1e-3)
 
+    def test_adam_matches_the_textbook_update_bitwise(self):
+        # Adam.step writes into reusable scratch buffers; it must stay
+        # op-for-op the allocate-per-op formula below.
+        rng = np.random.default_rng(5)
+        params = [
+            Tensor(rng.normal(size=(16, 8)), requires_grad=True),
+            Tensor(rng.normal(size=8), requires_grad=True),
+        ]
+        reference = [p.data.copy() for p in params]
+        m = [np.zeros_like(r) for r in reference]
+        v = [np.zeros_like(r) for r in reference]
+        lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+        optimizer = Adam(params, lr=lr, betas=(beta1, beta2), eps=eps)
+        for t in range(1, 9):
+            grads = [rng.normal(size=r.shape) for r in reference]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            optimizer.step()
+            bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+            for r, mi, vi, g in zip(reference, m, v, grads):
+                mi *= beta1
+                mi += (1.0 - beta1) * g
+                vi *= beta2
+                vi += (1.0 - beta2) * (g**2)
+                r -= lr * (mi / bias1) / (np.sqrt(vi / bias2) + eps)
+            for p, r in zip(params, reference):
+                assert p.data.tobytes() == r.tobytes()
+
     def test_adam_state_roundtrip(self):
         params = self._quadratic_params()
         optimizer = Adam(params, lr=0.1)

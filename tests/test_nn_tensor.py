@@ -246,6 +246,35 @@ class TestConv2d:
             atol=1e-5,
         )
 
+    def test_constant_input_skips_the_input_gradient(self, monkeypatch):
+        # The input-gradient fold is skipped for a constant input (the
+        # observation); the weight and bias gradients must not move.
+        import repro.nn.tensor as tensor_module
+
+        folds = []
+        col2im = tensor_module._col2im
+        monkeypatch.setattr(
+            tensor_module,
+            "_col2im",
+            lambda *args: folds.append(1) or col2im(*args),
+        )
+        rng = np.random.default_rng(4)
+        x0 = rng.normal(size=(3, 2, 6, 6))
+        w0 = rng.normal(size=(4, 2, 3, 3))
+        b0 = rng.normal(size=4)
+        grads = []
+        for input_grad in (True, False):
+            folds.clear()
+            x = Tensor(x0, requires_grad=input_grad)
+            w = Tensor(w0, requires_grad=True)
+            b = Tensor(b0, requires_grad=True)
+            out = x.conv2d(w, b, padding=1)
+            (out * out).sum().backward()
+            assert len(folds) == int(input_grad)
+            assert (x.grad is not None) == input_grad
+            grads.append((w.grad.tobytes(), b.grad.tobytes()))
+        assert grads[0] == grads[1]
+
 
 class TestNoGrad:
     def test_no_graph_recorded(self):
