@@ -36,6 +36,24 @@ def test_bench_bump_assignment_greedy(benchmark, placed_multi_gpu):
     assert assignment.total_wirelength > 0
 
 
+def test_bench_bump_assignment_greedy_batch16(benchmark):
+    """One ``assign_many`` call over an evaluation batch of 16 placements.
+
+    The shape a rollout wave or a serve batch hands the reward; divide
+    by 16 to compare with the single-placement case above.
+    """
+    spec = get_benchmark("multi_gpu")
+    rng = new_rng(1)
+    placements = [
+        random_legal_placement(spec.system, rng, allow_rotation=False)
+        for _ in range(16)
+    ]
+    assigner = BumpAssigner(wire_group_size=8)
+    assignments = benchmark(assigner.assign_many, placements)
+    assert len(assignments) == 16
+    assert all(assignment.total_wirelength > 0 for assignment in assignments)
+
+
 def test_bench_bump_assignment_hungarian(benchmark, placed_multi_gpu):
     _, placement = placed_multi_gpu
     assigner = BumpAssigner(wire_group_size=8, method="hungarian")

@@ -8,10 +8,11 @@ lengths — the TAP-2.5D recipe the paper adopts.  Two granularities:
   center distance); cheap enough for inner search loops.
 * :class:`BumpAssigner` — per-wire assignment onto perimeter bump sites
   with occupancy, greedy or Hungarian pairing, returning exact wirelength
-  and the full pin map.
+  and the full pin map; ``assign_many`` solves a whole evaluation batch
+  in one pass loop, bitwise equal to assigning each placement alone.
 """
 
-from repro.bumps.sites import BumpSite, perimeter_sites
+from repro.bumps.sites import BumpSite, perimeter_site_array, perimeter_sites
 from repro.bumps.assign import BumpAssigner, BumpAssignment, NetAssignment
 from repro.bumps.wirelength import (
     estimate_wirelength,
@@ -28,6 +29,7 @@ from repro.bumps.delay import (
 __all__ = [
     "BumpSite",
     "perimeter_sites",
+    "perimeter_site_array",
     "BumpAssigner",
     "BumpAssignment",
     "NetAssignment",

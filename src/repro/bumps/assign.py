@@ -7,7 +7,9 @@ several signals per bump group, and grouping also bounds the assignment
 cost for multi-thousand-wire bundles).
 
 Nets are processed in descending wire count (fattest bundles get first
-pick, as in TAP-2.5D); within a net, site pairs are chosen either
+pick, as in TAP-2.5D); :meth:`BumpAssigner.assign_many` runs the nets
+of a whole batch of placements together, level by level (see there).
+Within a net, site pairs are chosen either
 
 * ``"greedy"`` — repeatedly take the closest free (site_a, site_b) pair
   (sorted-distance sweep, near-optimal for convex perimeter geometries), or
@@ -23,22 +25,23 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from repro.chiplet import Placement
-from repro.bumps.sites import perimeter_sites
+from repro.bumps.sites import perimeter_site_array
 
 __all__ = ["NetAssignment", "BumpAssignment", "BumpAssigner"]
 
 
-def _first_occurrence(values: np.ndarray, n_values: int) -> np.ndarray:
+def _first_occurrence(
+    values: np.ndarray, buffer: np.ndarray, positions: np.ndarray
+) -> np.ndarray:
     """Mask of positions holding the first occurrence of each value.
 
-    ``values`` are ints in ``[0, n_values)``.  O(n), no sorting: a
+    ``values`` are ints indexing ``buffer``, an int64 array this
+    overwrites (no reset needed: only the slots of ``values`` are read);
+    ``positions`` is ``np.arange(len(values))``.  O(n), no sorting: a
     reversed scatter makes the earliest position win.
     """
-    first = np.full(n_values, -1, dtype=np.int64)
-    first[values[::-1]] = np.arange(len(values) - 1, -1, -1)
-    mask = np.zeros(len(values), dtype=bool)
-    mask[first[first >= 0]] = True
-    return mask
+    buffer[values[::-1]] = positions[::-1]
+    return buffer[values] == positions
 
 
 @dataclass(frozen=True)
@@ -119,164 +122,110 @@ class BumpAssigner:
 
     def assign(self, placement: Placement) -> BumpAssignment:
         """Run the assignment over all nets with placed endpoints."""
-        system = placement.system
-        site_xy = {}
-        site_free = {}
-        for name in placement.placed_names:
-            sites = perimeter_sites(
-                placement.footprint(name), pitch=self.pitch, rings=self.rings
-            )
-            coords = np.array([(s.x, s.y) for s in sites]).reshape(-1, 2)
-            site_xy[name] = coords
-            site_free[name] = np.ones(len(coords), dtype=bool)
+        return self.assign_many([placement])[0]
 
-        ordered = sorted(
-            (
-                net
-                for net in system.nets
-                if placement.is_placed(net.src) and placement.is_placed(net.dst)
-            ),
-            key=lambda net: -net.wires,
-        )
-        result = BumpAssignment()
-        for index, net in enumerate(ordered):
-            # Capacity fallback: when free sites run short (dense buses on
-            # small dies), merge more wires per bump group rather than
-            # fail — the grouping is recorded in wires_per_pair.
-            group = self.wire_group_size
-            while True:
-                groups = self._group_sizes(net.wires, group)
-                free_src = int(site_free[net.src].sum())
-                free_dst = int(site_free[net.dst].sum())
-                if len(groups) <= min(free_src, free_dst) or group >= net.wires:
-                    break
-                group *= 2
-            pairs = self._assign_net(
-                site_xy[net.src],
-                site_free[net.src],
-                site_xy[net.dst],
-                site_free[net.dst],
-                len(groups),
-                net,
+    def assign_many(self, placements) -> list:
+        """Assign every placement of a batch; one :class:`BumpAssignment` each.
+
+        Within a placement, nets are taken in descending wire count
+        (stable), and a net only sees the sites its two dies have left
+        after every earlier net on either die.  So each net gets the
+        level ``1 + max(level of its dies so far)``: nets on one level
+        share no die, and every net on a level, across the whole batch,
+        is an independent pairing problem.  Levels run in order; the
+        problems of one level are solved together (the greedy pass
+        loop runs once over all of them).  The result equals assigning
+        each placement alone, bit for bit.
+        """
+        placements = list(placements)
+        site_xy, site_free, nets_out = [], [], []
+        levels: list = []  # levels[k]: (placement index, slot, net) at k + 1
+        for index, placement in enumerate(placements):
+            xy = {
+                name: perimeter_site_array(
+                    placement.footprint(name), pitch=self.pitch, rings=self.rings
+                )
+                for name in placement.placed_names
+            }
+            site_xy.append(xy)
+            site_free.append(
+                {name: np.ones(len(coords), dtype=bool) for name, coords in xy.items()}
             )
-            result.nets.append(
-                NetAssignment(
-                    net_name=net.name or f"net{index}",
+            ordered = sorted(
+                (
+                    net
+                    for net in placement.system.nets
+                    if placement.is_placed(net.src) and placement.is_placed(net.dst)
+                ),
+                key=lambda net: -net.wires,
+            )
+            nets_out.append([None] * len(ordered))
+            die_level: dict = {}
+            for slot, net in enumerate(ordered):
+                level = max(die_level.get(net.src, 0), die_level.get(net.dst, 0))
+                die_level[net.src] = die_level[net.dst] = level + 1
+                if level == len(levels):
+                    levels.append([])
+                levels[level].append((index, slot, net))
+
+        for level in levels:
+            jobs, problems = [], []
+            for index, slot, net in level:
+                xy_a, xy_b = site_xy[index][net.src], site_xy[index][net.dst]
+                idx_a = np.flatnonzero(site_free[index][net.src])
+                idx_b = np.flatnonzero(site_free[index][net.dst])
+                groups = self._fallback_groups(net.wires, min(len(idx_a), len(idx_b)))
+                n_pairs = len(groups)
+                if len(idx_a) < n_pairs or len(idx_b) < n_pairs:
+                    raise RuntimeError(
+                        f"net {net.src}->{net.dst} needs {n_pairs} bump pairs but "
+                        f"only {len(idx_a)}/{len(idx_b)} free sites remain; "
+                        f"increase rings or wire_group_size"
+                    )
+                jobs.append((index, slot, net, idx_a, idx_b, groups))
+                problems.append((xy_a[idx_a], xy_b[idx_b], n_pairs))
+            if self.method == "hungarian":
+                chosen = [self._pair_hungarian(*problem) for problem in problems]
+            else:
+                chosen = _pair_greedy_many(problems)
+            for job, (chosen_a, chosen_b) in zip(jobs, chosen):
+                index, slot, net, idx_a, idx_b, groups = job
+                sel_a = idx_a[chosen_a]
+                sel_b = idx_b[chosen_b]
+                site_free[index][net.src][sel_a] = False
+                site_free[index][net.dst][sel_b] = False
+                xy_a, xy_b = site_xy[index][net.src], site_xy[index][net.dst]
+                nets_out[index][slot] = NetAssignment(
+                    net_name=net.name or f"net{slot}",
                     src=net.src,
                     dst=net.dst,
-                    pairs=pairs,
+                    pairs=np.stack([xy_a[sel_a], xy_b[sel_b]], axis=1),
                     wires_per_pair=groups,
                 )
-            )
-        return result
+        return [BumpAssignment(nets=nets) for nets in nets_out]
 
     # ------------------------------------------------------------------
 
-    def _group_sizes(self, wires: int, group: int | None = None) -> np.ndarray:
-        """Split a bundle into groups of ``group`` wires."""
-        if group is None:
-            group = self.wire_group_size
-        full, rest = divmod(wires, group)
-        sizes = [group] * full + ([rest] if rest else [])
-        return np.array(sizes, dtype=np.int64)
+    def _fallback_groups(self, wires: int, free_sites: int) -> np.ndarray:
+        """Wire counts of a net's bump groups, given ``free_sites`` per die.
 
-    def _assign_net(
-        self,
-        xy_a: np.ndarray,
-        free_a: np.ndarray,
-        xy_b: np.ndarray,
-        free_b: np.ndarray,
-        n_pairs: int,
-        net,
-    ) -> np.ndarray:
-        """Pick ``n_pairs`` site pairs, marking sites occupied in place."""
-        idx_a = np.where(free_a)[0]
-        idx_b = np.where(free_b)[0]
-        if len(idx_a) < n_pairs or len(idx_b) < n_pairs:
-            raise RuntimeError(
-                f"net {net.src}->{net.dst} needs {n_pairs} bump pairs but only "
-                f"{len(idx_a)}/{len(idx_b)} free sites remain; increase rings "
-                f"or wire_group_size"
-            )
-        if self.method == "hungarian":
-            chosen_a, chosen_b = self._pair_hungarian(
-                xy_a[idx_a], xy_b[idx_b], n_pairs
-            )
-        else:
-            chosen_a, chosen_b = self._pair_greedy(
-                xy_a[idx_a], xy_b[idx_b], n_pairs
-            )
-        sel_a = idx_a[chosen_a]
-        sel_b = idx_b[chosen_b]
-        free_a[sel_a] = False
-        free_b[sel_b] = False
-        return np.stack([xy_a[sel_a], xy_b[sel_b]], axis=1)
+        Groups of ``wire_group_size`` wires (the last one takes the
+        rest).  Capacity fallback: when free sites run short (dense
+        buses on small dies), merge more wires per bump group rather
+        than fail — the grouping is recorded in ``wires_per_pair``.
+        """
+        group = self.wire_group_size
+        while True:
+            full, rest = divmod(wires, group)
+            if full + bool(rest) <= free_sites or group >= wires:
+                sizes = [group] * full + ([rest] if rest else [])
+                return np.array(sizes, dtype=np.int64)
+            group *= 2
 
     @staticmethod
     def _pair_greedy(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):
-        """Greedy pairing over the distance-sorted candidate pairs.
-
-        Candidates are prefiltered to the sites nearest the peer die so
-        the sweep touches a small matrix; the winning pairs always lie on
-        the facing perimeters, so the filter does not change the result
-        in practice.
-
-        Acceptance runs in passes, not one pair at a time.  Each pass
-        takes every remaining pair that is the earliest remaining pair
-        (in sweep order) of both its row and its column, then retires
-        those rows and columns.  Run to exhaustion, the passes select
-        exactly the pairs of a sequential greedy sweep.  But the
-        ``n_pairs`` cap truncates the last pass in sweep order, so the
-        result is ``n_pairs`` pairs of that sweep's matching, not
-        always its first ``n_pairs``: for the sweep order (0,0), (1,0),
-        (1,1), (2,2) and ``n_pairs=2``, pass one picks {(0,0), (2,2)}
-        where a sequential sweep stops at {(0,0), (1,1)}.  Pairs are
-        returned in acceptance order.
-        """
-        keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
-        center_b = xy_b.mean(axis=0)
-        center_a = xy_a.mean(axis=0)
-        near_a = np.argsort(
-            np.abs(xy_a - center_b).sum(axis=1), kind="stable"
-        )[:keep]
-        near_b = np.argsort(
-            np.abs(xy_b - center_a).sum(axis=1), kind="stable"
-        )[:keep]
-        sub_a = xy_a[near_a]
-        sub_b = xy_b[near_b]
-        dist = np.abs(sub_a[:, None, 0] - sub_b[None, :, 0]) + np.abs(
-            sub_a[:, None, 1] - sub_b[None, :, 1]
-        )
-        order = np.argsort(dist, axis=None, kind="stable")
-        all_rows, all_cols = np.divmod(order, dist.shape[1])
-        chosen_a, chosen_b = [], []
-        used_rows = np.zeros(keep, dtype=bool)
-        used_cols = np.zeros(keep, dtype=bool)
-        # Lazy sweep over the sorted entries in chunks: each chunk drops
-        # already-used rows/cols vectorized, then resolves the intra-chunk
-        # conflicts with the first-occurrence passes (small arrays).  A
-        # later chunk is only reached once every earlier one is
-        # exhausted, so chunking does not change the selection.
-        chunk_size = 4096
-        for start in range(0, len(order), chunk_size):
-            if len(chosen_a) >= n_pairs:
-                break
-            rows = all_rows[start : start + chunk_size]
-            cols = all_cols[start : start + chunk_size]
-            alive = ~used_rows[rows] & ~used_cols[cols]
-            rows, cols = rows[alive], cols[alive]
-            while len(chosen_a) < n_pairs and len(rows):
-                take = np.flatnonzero(
-                    _first_occurrence(rows, keep) & _first_occurrence(cols, keep)
-                )
-                take = take[: n_pairs - len(chosen_a)]
-                chosen_a.extend(rows[take].tolist())
-                chosen_b.extend(cols[take].tolist())
-                used_rows[rows[take]] = True
-                used_cols[cols[take]] = True
-                remaining = ~used_rows[rows] & ~used_cols[cols]
-                rows, cols = rows[remaining], cols[remaining]
-        return near_a[np.array(chosen_a)], near_b[np.array(chosen_b)]
+        """Greedy pairing of one problem; see :func:`_pair_greedy_many`."""
+        return _pair_greedy_many([(xy_a, xy_b, n_pairs)])[0]
 
     @staticmethod
     def _pair_hungarian(xy_a: np.ndarray, xy_b: np.ndarray, n_pairs: int):
@@ -285,7 +234,7 @@ class BumpAssigner:
         center_a = xy_a.mean(axis=0)
         # Prefilter to the 2x nearest candidates per side to keep the
         # Hungarian cost matrix small on big perimeters.
-        keep = max(n_pairs * 2, n_pairs)
+        keep = 2 * n_pairs
         near_a = np.argsort(
             np.abs(xy_a - center_b).sum(axis=1), kind="stable"
         )[:keep]
@@ -298,3 +247,265 @@ class BumpAssigner:
         rows, cols = linear_sum_assignment(cost)
         order = np.argsort(cost[rows, cols], kind="stable")[:n_pairs]
         return near_a[rows[order]], near_b[cols[order]]
+
+
+# Sorted candidate entries are swept in chunks of this many per problem.
+_CHUNK = 4096
+# Levels with fewer problems let each chunk into the pass loop whole:
+# the passes over a lone problem's chunk are cheap, and computing and
+# growing its window (see _window) costs about as much as it saves.
+_WINDOW_FROM = 4
+
+
+class _Sweep:
+    """The sweep order of one problem's distance matrix, a chunk at a time.
+
+    The sweep order is ``np.argsort(dist, axis=None, kind="stable")``:
+    ascending distance, ties in row-major order.  :meth:`chunk` returns
+    its slice ``[index * _CHUNK, (index + 1) * _CHUNK)`` without sorting
+    the rest: the distinct distances and their counts locate the
+    distance range the slice covers, every entry in that range is
+    sorted (stable, so ties stay in row-major order), and the slice is
+    cut out of it.  Problems usually finish within their first few
+    chunks, and bump-site distances repeat a lot, so this is far
+    cheaper than sorting every entry.
+    """
+
+    def __init__(self, dist: np.ndarray):
+        self.keep = dist.shape[1]
+        self.dist = dist.ravel()
+        self.n_chunks = -(-self.dist.size // _CHUNK)
+        if self.n_chunks > 1:
+            self.values, counts = np.unique(self.dist, return_counts=True)
+            self.ends = np.cumsum(counts)  # sweep position after each value
+
+    def chunk(self, index: int, free_rows: np.ndarray, free_cols: np.ndarray):
+        """The ``(rows, cols)`` of chunk ``index`` on free rows and columns."""
+        if self.n_chunks == 1:
+            order = np.argsort(self.dist, kind="stable")
+        else:
+            lo = index * _CHUNK
+            hi = min(lo + _CHUNK, self.dist.size)
+            first, last = np.searchsorted(self.ends, [lo, hi - 1], side="right")
+            before = int(self.ends[first - 1]) if first else 0
+            order = np.flatnonzero(
+                (self.dist >= self.values[first]) & (self.dist <= self.values[last])
+            )
+            if last > first:
+                # Sort by distinct-value rank: a small-int stable argsort
+                # is a radix sort, and it orders exactly as the distances.
+                rank = np.searchsorted(self.values[first : last + 1], self.dist[order])
+                dtype = np.uint8 if last - first < 256 else np.int64
+                order = order[np.argsort(rank.astype(dtype), kind="stable")]
+            order = order[lo - before : hi - before]
+        rows = order // self.keep
+        cols = order - rows * self.keep
+        free = free_rows[rows] & free_cols[cols]
+        return rows[free], cols[free]
+
+
+def _window(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """How much of a chunk's prefix can hold a pair, after m = 0..width-1 takes.
+
+    An entry can only be taken once every earlier entry of its row and
+    of its column is gone.  Its earlier row-mates sit in distinct
+    columns and die only as those columns are taken (its row being
+    taken kills it too), so after ``m`` takes it needs ``m`` at least
+    its number of earlier row-mates, and likewise column-mates.  The
+    window after ``m`` takes ends after the last entry meeting both
+    bounds: everything behind it can neither be taken in this pass nor
+    block an entry in front of it.
+    """
+    bound = np.maximum(_earlier_mates(rows), _earlier_mates(cols))
+    bound = np.minimum.accumulate(bound[::-1])[::-1]
+    return np.searchsorted(bound, np.arange(width), side="right")
+
+
+def _earlier_mates(ids: np.ndarray) -> np.ndarray:
+    """How many earlier entries share each entry's id (ids < 65536)."""
+    order = np.argsort(ids.astype(np.uint16), kind="stable")  # a radix sort
+    counts = np.bincount(ids)
+    mates = np.empty(len(ids), dtype=np.int64)
+    mates[order] = np.arange(len(ids)) - (np.cumsum(counts) - counts)[ids[order]]
+    return mates
+
+
+def _pair_greedy_many(problems) -> list:
+    """Greedy pairing over distance-sorted candidate pairs, many problems at once.
+
+    ``problems`` is a list of ``(xy_a, xy_b, n_pairs)``; the result holds
+    one ``(chosen_a, chosen_b)`` index pair per problem, in acceptance
+    order, equal to solving that problem alone.
+
+    Per problem, candidates are prefiltered to the sites nearest the
+    peer die so the sweep touches a small matrix; the winning pairs
+    always lie on the facing perimeters, so the filter does not change
+    the result in practice.  The sweep visits the (row, col) entries of
+    that matrix by ascending distance, ties in row-major order.
+
+    Acceptance runs in passes, not one pair at a time.  Each pass
+    takes every remaining pair that is the earliest remaining pair (in
+    sweep order) of both its row and its column, then retires those
+    rows and columns.  Run to exhaustion, the passes select exactly the
+    pairs of a sequential greedy sweep.  But the ``n_pairs`` cap
+    truncates the last pass in sweep order, so the result is
+    ``n_pairs`` pairs of that sweep's matching, not always its first
+    ``n_pairs``: for the sweep order (0,0), (1,0), (1,1), (2,2) and
+    ``n_pairs=2``, pass one picks {(0,0), (2,2)} where a sequential
+    sweep stops at {(0,0), (1,1)}.
+
+    The sweep is lazy: a problem's entries are loaded ``_CHUNK`` at a
+    time, dropping already-used rows/cols, and its next chunk is only
+    loaded once the current one runs dry short of ``n_pairs``.  Of a
+    loaded chunk, a pass only sees the prefix that can hold a pair to
+    take (:func:`_window`), which is usually a small part of it.  The
+    problems' row and column ids are offset so no two share one; every
+    pass then runs over one array of all problems' entries (each
+    problem's in sweep order), and the cap applies per problem by rank
+    among its own takes.
+    """
+    n_problems = len(problems)
+    near, sweeps = [], []
+    keeps = np.empty(n_problems, dtype=np.int64)
+    need = np.empty(n_problems, dtype=np.int64)
+    for p, (xy_a, xy_b, n_pairs) in enumerate(problems):
+        keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
+        center_b = xy_b.mean(axis=0)
+        center_a = xy_a.mean(axis=0)
+        near_a = np.argsort(
+            np.abs(xy_a - center_b).sum(axis=1), kind="stable"
+        )[:keep]
+        near_b = np.argsort(
+            np.abs(xy_b - center_a).sum(axis=1), kind="stable"
+        )[:keep]
+        sub_a = xy_a[near_a]
+        sub_b = xy_b[near_b]
+        dist = np.subtract.outer(sub_a[:, 0], sub_b[:, 0])
+        np.abs(dist, out=dist)
+        dist_y = np.subtract.outer(sub_a[:, 1], sub_b[:, 1])
+        dist += np.abs(dist_y, out=dist_y)
+        near.append((near_a, near_b))
+        sweeps.append(_Sweep(dist))
+        keeps[p] = keep
+        need[p] = n_pairs
+    base = np.concatenate(([0], np.cumsum(keeps)))  # row/col id offsets
+    n_ids = int(base[-1])
+    row_owner = np.repeat(np.arange(n_problems), keeps)
+    n_chunks = np.array([sweep.n_chunks for sweep in sweeps])
+
+    # Each problem's current chunk sits in its own _CHUNK-entry slot, of
+    # which the pass loop sees the first window[p, m] entries after m
+    # takes from the chunk (see _window).
+    slot_rows = np.empty(n_problems * _CHUNK, dtype=np.int64)
+    slot_cols = np.empty(n_problems * _CHUNK, dtype=np.int64)
+    window = np.zeros((n_problems, int(keeps.max(initial=0)) + 1), dtype=np.int64)
+    admitted = np.zeros(n_problems, dtype=np.int64)  # slot entries let in
+    in_chunk = np.zeros(n_problems, dtype=np.int64)  # takes from the chunk
+    problem_ids = np.arange(n_problems)
+
+    count = np.zeros(n_problems, dtype=np.int64)
+    next_chunk = np.zeros(n_problems, dtype=np.int64)
+    free_rows = np.ones(n_ids, dtype=bool)
+    free_cols = np.ones(n_ids, dtype=bool)
+    first_row = np.empty(n_ids, dtype=np.int64)
+    first_col = np.empty(n_ids, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols, positions = empty, empty, empty
+    taken_rows, taken_cols = [], []
+    starving = np.flatnonzero(need > 0)
+    while True:
+        # Problems whose chunk ran dry short of n_pairs load their next one
+        # (skipping chunks with nothing left on free rows and columns).
+        for p in starving.tolist():
+            lo, hi = base[p], base[p + 1]
+            chunk_rows = chunk_cols = empty
+            while next_chunk[p] < n_chunks[p] and not len(chunk_rows):
+                chunk_rows, chunk_cols = sweeps[p].chunk(
+                    int(next_chunk[p]), free_rows[lo:hi], free_cols[lo:hi]
+                )
+                next_chunk[p] += 1
+            slot = p * _CHUNK
+            slot_rows[slot : slot + len(chunk_rows)] = chunk_rows + lo
+            slot_cols[slot : slot + len(chunk_rows)] = chunk_cols + lo
+            if n_problems < _WINDOW_FROM or window.shape[1] > 65536:
+                window[p] = len(chunk_rows)
+            else:
+                window[p] = _window(chunk_rows, chunk_cols, window.shape[1])
+            admitted[p] = in_chunk[p] = 0
+        # Let in the entries each problem's takes so far have unlocked.
+        limit = window[problem_ids, in_chunk]
+        grow = np.flatnonzero(limit > admitted)
+        if len(grow):
+            starts = grow * _CHUNK + admitted[grow]
+            sizes = limit[grow] - admitted[grow]
+            ends = np.cumsum(sizes)
+            slots = np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+            new_rows, new_cols = slot_rows[slots], slot_cols[slots]
+            alive = free_rows[new_rows] & free_cols[new_cols]
+            rows = np.concatenate((rows, new_rows[alive]))
+            cols = np.concatenate((cols, new_cols[alive]))
+            admitted[grow] = limit[grow]
+            if len(positions) < len(rows):
+                positions = np.arange(len(rows))
+        if not len(rows):
+            # Every problem ran dry: load on for those short of n_pairs.
+            starving = np.flatnonzero((count < need) & (next_chunk < n_chunks))
+            if not len(starving):
+                break
+            continue
+        here = positions[: len(rows)]
+        first = _first_occurrence(rows, first_row, here)
+        first &= _first_occurrence(cols, first_col, here)
+        take = np.flatnonzero(first)
+        take_rows, take_cols = rows[take], cols[take]
+        take_owner = row_owner[take_rows]
+        taken = np.bincount(take_owner, minlength=n_problems)
+        room = need - count
+        if (taken > room).any():
+            # Cap each problem at n_pairs: rank its takes in array order,
+            # which within one problem is sweep order.
+            by_owner = np.argsort(take_owner, kind="stable")
+            owners = take_owner[by_owner]
+            rank = np.empty(len(take), dtype=np.int64)
+            rank[by_owner] = np.arange(len(take)) - np.searchsorted(owners, owners)
+            capped = rank < room[take_owner]
+            take_rows, take_cols = take_rows[capped], take_cols[capped]
+            taken = np.minimum(taken, room)
+        count += taken
+        in_chunk += taken
+        # A problem that is done retires all its rows (and so its entries).
+        for p in np.flatnonzero((taken > 0) & (count == need)).tolist():
+            free_rows[base[p] : base[p + 1]] = False
+            admitted[p] = _CHUNK
+        taken_rows.append(take_rows)
+        taken_cols.append(take_cols)
+        free_rows[take_rows] = False
+        free_cols[take_cols] = False
+        alive = free_rows[rows]
+        alive &= free_cols[cols]
+        rows, cols = rows[alive], cols[alive]
+        # A problem's earliest remaining entry is always let in and always
+        # taken, so one that took nothing has run dry.  (One that ran dry
+        # in this pass waits a pass; problems never touch each other's
+        # entries.)
+        starving = np.flatnonzero(
+            (taken == 0) & (count < need) & (next_chunk < n_chunks)
+        )
+
+    taken_rows = np.concatenate(taken_rows) if taken_rows else empty
+    taken_cols = np.concatenate(taken_cols) if taken_cols else empty
+    taken_owner = row_owner[taken_rows]
+    by_problem = np.argsort(taken_owner, kind="stable")
+    bounds = np.searchsorted(taken_owner[by_problem], np.arange(n_problems + 1))
+    taken_rows = taken_rows[by_problem]
+    taken_cols = taken_cols[by_problem]
+    chosen = []
+    for p, (near_a, near_b) in enumerate(near):
+        lo, hi = bounds[p], bounds[p + 1]
+        chosen.append(
+            (
+                near_a[taken_rows[lo:hi] - base[p]],
+                near_b[taken_cols[lo:hi] - base[p]],
+            )
+        )
+    return chosen

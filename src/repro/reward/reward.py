@@ -161,19 +161,25 @@ class RewardCalculator:
     def wirelength_many(self, placements) -> np.ndarray:
         """Batched :meth:`wirelength`.
 
-        The bundle estimator vectorizes across the batch; per-wire bump
-        assignment is inherently sequential (sites are allocated
-        greedily per placement) and runs as a loop.
+        The bundle estimator vectorizes across the batch (summing nets
+        in a different order than the scalar estimator, so equal only
+        to float rounding); per-wire bump assignment runs the whole
+        batch through one :meth:`BumpAssigner.assign_many` call, bitwise
+        equal to assigning each placement alone.
         """
         placements = list(placements)
         if self.config.use_bump_assignment:
-            return np.array(
-                [
-                    self.assigner.assign(p).total_wirelength
-                    for p in placements
-                ]
-            )
+            return np.array(self._exact_wirelengths(placements))
         return estimate_wirelength_batch(placements)
+
+    def _exact_wirelengths(self, placements: list) -> list:
+        """:meth:`wirelength` of each placement, bitwise, batched where exact."""
+        if self.config.use_bump_assignment:
+            return [
+                assignment.total_wirelength
+                for assignment in self.assigner.assign_many(placements)
+            ]
+        return [estimate_wirelength(p) for p in placements]
 
     def evaluate_many(self, placements) -> np.ndarray:
         """Rewards of a batch of placements in one vectorized pass.
@@ -222,11 +228,11 @@ class RewardCalculator:
         vectorized path cannot promise that — the batched bundle
         wirelength sums nets in a different order and the batched
         penalty uses ``np.exp`` where the scalar uses ``math.exp`` — so
-        this adapter batches only the thermal analysis (the evaluator's
-        ``max_temperatures`` multi-RHS path, bitwise by construction)
-        and keeps wirelength and reward combination on the scalar
-        codepaths per placement.  For solver-backed rewards the thermal
-        solve is >99 % of the cost, so the amortization is preserved.
+        this adapter batches only what is bitwise by construction: the
+        thermal analysis (the evaluator's ``max_temperatures`` multi-RHS
+        path) and bump assignment (one ``assign_many`` call).  The bundle
+        estimator and the reward combination stay on the scalar
+        codepaths per placement.
         """
         placements = list(placements)
         if not placements:
@@ -239,9 +245,9 @@ class RewardCalculator:
                 [self.thermal.evaluate(p).max_temperature for p in placements]
             )
         rewards = np.empty(len(placements))
-        for i, placement in enumerate(placements):
+        for i, wirelength in enumerate(self._exact_wirelengths(placements)):
             rewards[i] = self.config.combine(
-                self.wirelength(placement), max_temps[i] - KELVIN_OFFSET
+                wirelength, max_temps[i] - KELVIN_OFFSET
             )
         self.evaluation_count += len(placements)
         return rewards
@@ -264,7 +270,7 @@ class RewardCalculator:
             return []
         breakdowns = []
         start = time.perf_counter()
-        wirelengths = [self.wirelength(p) for p in placements]
+        wirelengths = self._exact_wirelengths(placements)
         t_wl = (time.perf_counter() - start) / len(placements)
         for wirelength, thermal_result in zip(wirelengths, batch_eval(placements)):
             t_celsius = thermal_result.max_temperature - KELVIN_OFFSET

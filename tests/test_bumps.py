@@ -1,5 +1,9 @@
 """Tests for microbump site generation, assignment and wirelength."""
 
+import json
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +12,20 @@ from repro.bumps import (
     BumpAssigner,
     estimate_wirelength,
     netlist_hpwl,
+    perimeter_site_array,
     perimeter_sites,
 )
+from repro.bumps.assign import _CHUNK, _pair_greedy_many
 from repro.chiplet import Chiplet, ChipletSystem, Interposer, Net, Placement
 from repro.geometry import Rect
+
+from golden_bumps_utils import (
+    GOLDEN_BUMPS_PATH,
+    METHODS,
+    assignment_record,
+    golden_assigner,
+    golden_placements,
+)
 
 
 @pytest.fixture
@@ -76,6 +90,73 @@ class TestSites:
             perimeter_sites(Rect(0, 0, 5, 5), pitch=0.0)
         with pytest.raises(ValueError):
             perimeter_sites(Rect(0, 0, 5, 5), rings=0)
+        with pytest.raises(ValueError):
+            perimeter_site_array(Rect(0, 0, 5, 5), pitch=-1.0)
+
+
+def _reference_sites(rect, pitch, rings, edge_margin=0.15):
+    """The original per-site loop: ``(x, y, edge, ring)`` tuples."""
+
+    def positions(lo, hi):
+        span = hi - lo
+        count = max(int(span / pitch) + 1, 1)
+        start = lo + (span - (count - 1) * pitch) / 2.0
+        return start + np.arange(count) * pitch
+
+    sites = []
+    for ring in range(rings):
+        inset = edge_margin + ring * pitch
+        x1, x2 = rect.x + inset, rect.x2 - inset
+        y1, y2 = rect.y + inset, rect.y2 - inset
+        if x1 >= x2 or y1 >= y2:
+            break
+        xs, ys = positions(x1, x2), positions(y1, y2)
+        for x in xs:
+            sites.append((x, y2, "n", ring))
+            sites.append((x, y1, "s", ring))
+        for y in ys[1:-1] if len(ys) > 2 else []:
+            sites.append((x2, y, "e", ring))
+            sites.append((x1, y, "w", ring))
+    return sites
+
+
+class TestSiteArray:
+    """``perimeter_site_array`` reproduces the per-site loop bit for bit."""
+
+    CHIPLET = Chiplet("die", 7.3, 3.1, 1.0)
+    RECTS = [
+        Rect(0.0, 0.0, 10.0, 10.0),
+        Rect(3.7, 11.13, 8.2, 5.05),
+        Rect(0.0, 0.0, 1.0, 1.0),  # loses rings
+        Rect(2.0, 2.0, 0.6, 3.0),  # a single ring
+        Rect(5.0, 5.0, 0.2, 0.2),  # no site at all
+        # Spans that are exact multiples of the pitch (0.25 mm).
+        Rect(0.0, 0.0, 2.8, 2.8),
+        Rect(1.25, 0.5, 5.3, 1.3),
+        CHIPLET.footprint(4.4, 6.6, rotated=False),
+        CHIPLET.footprint(4.4, 6.6, rotated=True),
+    ]
+
+    @pytest.mark.parametrize("rect", RECTS, ids=lambda rect: repr(rect))
+    @pytest.mark.parametrize("pitch,rings", [(0.25, 6), (0.4, 4), (0.5, 2)])
+    def test_matches_the_per_site_loop(self, rect, pitch, rings):
+        reference = _reference_sites(rect, pitch, rings)
+        xy = perimeter_site_array(rect, pitch=pitch, rings=rings)
+        assert xy.shape == (len(reference), 2)
+        assert xy.dtype == np.float64
+        expected = np.array([(x, y) for x, y, _, _ in reference]).reshape(-1, 2)
+        assert np.array_equal(xy, expected)
+        wrapped = [
+            (s.x, s.y, s.edge, s.ring)
+            for s in perimeter_sites(rect, pitch=pitch, rings=rings)
+        ]
+        assert wrapped == reference
+
+    def test_tiny_die_loses_rings(self):
+        reference = _reference_sites(Rect(0.0, 0.0, 1.0, 1.0), 0.25, 6)
+        assert 0 < max(ring for *_, ring in reference) < 5
+        empty = perimeter_site_array(Rect(0.0, 0.0, 0.2, 0.2), 0.25, 6)
+        assert empty.shape == (0, 2)
 
 
 class TestEstimators:
@@ -120,6 +201,171 @@ class TestPairGreedy:
 
     def test_single_pair_is_the_closest(self):
         assert self._pairs(1) == [(0, 0)]
+
+
+def _reference_pair_greedy(xy_a, xy_b, n_pairs, chunk=_CHUNK):
+    """The pass contract in plain Python, one problem, chunk by chunk.
+
+    Returns ``(chosen_a, chosen_b, chunks)``: the pairs in acceptance
+    order and how many chunks of the sweep were opened.
+    """
+    keep = min(max(2 * n_pairs, n_pairs + 16), len(xy_a), len(xy_b))
+    near_a = np.argsort(
+        np.abs(xy_a - xy_b.mean(axis=0)).sum(axis=1), kind="stable"
+    )[:keep]
+    near_b = np.argsort(
+        np.abs(xy_b - xy_a.mean(axis=0)).sum(axis=1), kind="stable"
+    )[:keep]
+    sub_a, sub_b = xy_a[near_a], xy_b[near_b]
+    dist = np.abs(sub_a[:, None, :] - sub_b[None, :, :]).sum(axis=2)
+    sweep = [divmod(int(k), keep) for k in np.argsort(dist, axis=None, kind="stable")]
+    chosen, used_rows, used_cols, chunks = [], set(), set(), 0
+    for start in range(0, len(sweep), chunk):
+        if len(chosen) >= n_pairs:
+            break
+        chunks += 1
+        entries = [
+            (r, c)
+            for r, c in sweep[start : start + chunk]
+            if r not in used_rows and c not in used_cols
+        ]
+        while entries and len(chosen) < n_pairs:
+            seen_rows, seen_cols, passed = set(), set(), []
+            for r, c in entries:
+                if r not in seen_rows and c not in seen_cols:
+                    passed.append((r, c))
+                seen_rows.add(r)
+                seen_cols.add(c)
+            passed = passed[: n_pairs - len(chosen)]
+            chosen += passed
+            used_rows.update(r for r, _ in passed)
+            used_cols.update(c for _, c in passed)
+            entries = [
+                (r, c) for r, c in entries if r not in used_rows and c not in used_cols
+            ]
+    rows = [r for r, _ in chosen]
+    cols = [c for _, c in chosen]
+    return near_a[rows].tolist(), near_b[cols].tolist(), chunks
+
+
+def _greedy_problems():
+    rng = np.random.default_rng(7)
+    # Rows far apart, columns close together: every row sweeps through
+    # all columns before the next row starts, so each pass accepts one
+    # pair and the 60 pairs reach past the first chunk.
+    ladder_a = np.stack([np.zeros(120), 100.0 * np.arange(120)], axis=1)
+    ladder_b = np.stack([0.01 * np.arange(120), np.full(120, -1.0)], axis=1)
+    return [
+        (TestPairGreedy.XY_A, TestPairGreedy.XY_B, 2),
+        (ladder_a, ladder_b, 60),
+        (rng.uniform(0, 5, (40, 2)), rng.uniform(8, 12, (50, 2)), 10),
+        # keep capped by the smaller side (35 sites < 2 * 30).
+        (rng.uniform(0, 5, (35, 2)), rng.uniform(6, 9, (90, 2)), 30),
+        # Tied distances on a 0.1 mm lattice; keep 160, so six chunks.
+        (
+            rng.uniform(0, 3, (200, 2)).round(1),
+            rng.uniform(4, 7, (200, 2)).round(1),
+            80,
+        ),
+    ]
+
+
+class TestPairGreedyMany:
+    """Problems solved together equal each problem solved alone."""
+
+    def test_ladder_spills_into_a_second_chunk(self):
+        ladder = _greedy_problems()[1]
+        assert _reference_pair_greedy(*ladder)[2] >= 2
+
+    def test_each_problem_matches_the_reference(self):
+        for problem in _greedy_problems():
+            chosen_a, chosen_b = BumpAssigner._pair_greedy(*problem)
+            reference_a, reference_b, _ = _reference_pair_greedy(*problem)
+            assert chosen_a.tolist() == reference_a
+            assert chosen_b.tolist() == reference_b
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "duplicated"])
+    def test_batch_equals_solo_in_acceptance_order(self, order):
+        problems = _greedy_problems()
+        if order == "reversed":
+            problems = problems[::-1]
+        elif order == "duplicated":
+            problems = problems + problems[::2]
+        together = _pair_greedy_many(problems)
+        assert len(together) == len(problems)
+        for problem, (chosen_a, chosen_b) in zip(problems, together):
+            solo_a, solo_b = BumpAssigner._pair_greedy(*problem)
+            assert chosen_a.tolist() == solo_a.tolist()
+            assert chosen_b.tolist() == solo_b.tolist()
+            assert len(chosen_a) == problem[2]
+
+    @settings(deadline=None, max_examples=12)
+    @given(seed=st.integers(0, 2**32 - 1), pitch=st.sampled_from([0.1, 0.5]))
+    def test_random_tied_lattices_match_the_reference(self, seed, pitch):
+        # Sites rounded to a lattice tie many distances; with up to 90
+        # sites a side, chunks are big enough to be windowed and some
+        # problems spill into later chunks.
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(4):
+            n_pairs = int(rng.integers(1, 45))
+            size_a, size_b = rng.integers(n_pairs, 2 * n_pairs + 2, size=2)
+            xy_a = (rng.uniform(0, 4, (size_a, 2)) / pitch).round() * pitch
+            xy_b = (rng.uniform(3, 7, (size_b, 2)) / pitch).round() * pitch
+            problems.append((xy_a, xy_b, n_pairs))
+        for problem, (chosen_a, chosen_b) in zip(problems, _pair_greedy_many(problems)):
+            reference_a, reference_b, _ = _reference_pair_greedy(*problem)
+            assert chosen_a.tolist() == reference_a
+            assert chosen_b.tolist() == reference_b
+
+    def test_zero_pairs_take_nothing(self):
+        xy = np.array([[0.0, 0.0], [1.0, 0.0]])
+        together = _pair_greedy_many([(xy, xy + 1.0, 0), (xy, xy + 1.0, 2)])
+        assert [len(chosen_a) for chosen_a, _ in together] == [0, 2]
+
+
+class TestGoldenBumps:
+    """Bump assignment stays bitwise equal to ``golden_bumps.json``.
+
+    The golden was generated by the per-net, per-placement greedy loop
+    the batched engine replaced (``scripts/gen_golden_bumps.py``).
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        path = Path(__file__).resolve().parent.parent / GOLDEN_BUMPS_PATH
+        return json.loads(path.read_text())
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return golden_placements()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_assign_matches_golden(self, golden, cases, method):
+        assigner = golden_assigner(method)
+        for label, placement in cases:
+            record = assignment_record(assigner.assign(placement))
+            assert record == golden[method][label], label
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_assign_many_matches_golden(self, golden, cases, method):
+        assignments = golden_assigner(method).assign_many([p for _, p in cases])
+        assert len(assignments) == len(cases)
+        for (label, _), assignment in zip(cases, assignments):
+            assert assignment_record(assignment) == golden[method][label], label
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shuffled_mixed_system_batch_matches_golden(self, golden, cases, method):
+        shuffled = list(cases)
+        random.Random(13).shuffle(shuffled)
+        batch = shuffled[:20]
+        assert len({p.system.name for _, p in batch}) > 3
+        assignments = golden_assigner(method).assign_many([p for _, p in batch])
+        for (label, _), assignment in zip(batch, assignments):
+            assert assignment_record(assignment) == golden[method][label], label
+
+    def test_empty_batch(self):
+        assert golden_assigner("greedy").assign_many([]) == []
 
 
 class TestAssignment:
