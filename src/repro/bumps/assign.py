@@ -251,83 +251,6 @@ class BumpAssigner:
 
 # Sorted candidate entries are swept in chunks of this many per problem.
 _CHUNK = 4096
-# Levels with fewer problems let each chunk into the pass loop whole:
-# the passes over a lone problem's chunk are cheap, and computing and
-# growing its window (see _window) costs about as much as it saves.
-_WINDOW_FROM = 4
-
-
-class _Sweep:
-    """The sweep order of one problem's distance matrix, a chunk at a time.
-
-    The sweep order is ``np.argsort(dist, axis=None, kind="stable")``:
-    ascending distance, ties in row-major order.  :meth:`chunk` returns
-    its slice ``[index * _CHUNK, (index + 1) * _CHUNK)`` without sorting
-    the rest: the distinct distances and their counts locate the
-    distance range the slice covers, every entry in that range is
-    sorted (stable, so ties stay in row-major order), and the slice is
-    cut out of it.  Problems usually finish within their first few
-    chunks, and bump-site distances repeat a lot, so this is far
-    cheaper than sorting every entry.
-    """
-
-    def __init__(self, dist: np.ndarray):
-        self.keep = dist.shape[1]
-        self.dist = dist.ravel()
-        self.n_chunks = -(-self.dist.size // _CHUNK)
-        if self.n_chunks > 1:
-            self.values, counts = np.unique(self.dist, return_counts=True)
-            self.ends = np.cumsum(counts)  # sweep position after each value
-
-    def chunk(self, index: int, free_rows: np.ndarray, free_cols: np.ndarray):
-        """The ``(rows, cols)`` of chunk ``index`` on free rows and columns."""
-        if self.n_chunks == 1:
-            order = np.argsort(self.dist, kind="stable")
-        else:
-            lo = index * _CHUNK
-            hi = min(lo + _CHUNK, self.dist.size)
-            first, last = np.searchsorted(self.ends, [lo, hi - 1], side="right")
-            before = int(self.ends[first - 1]) if first else 0
-            order = np.flatnonzero(
-                (self.dist >= self.values[first]) & (self.dist <= self.values[last])
-            )
-            if last > first:
-                # Sort by distinct-value rank: a small-int stable argsort
-                # is a radix sort, and it orders exactly as the distances.
-                rank = np.searchsorted(self.values[first : last + 1], self.dist[order])
-                dtype = np.uint8 if last - first < 256 else np.int64
-                order = order[np.argsort(rank.astype(dtype), kind="stable")]
-            order = order[lo - before : hi - before]
-        rows = order // self.keep
-        cols = order - rows * self.keep
-        free = free_rows[rows] & free_cols[cols]
-        return rows[free], cols[free]
-
-
-def _window(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
-    """How much of a chunk's prefix can hold a pair, after m = 0..width-1 takes.
-
-    An entry can only be taken once every earlier entry of its row and
-    of its column is gone.  Its earlier row-mates sit in distinct
-    columns and die only as those columns are taken (its row being
-    taken kills it too), so after ``m`` takes it needs ``m`` at least
-    its number of earlier row-mates, and likewise column-mates.  The
-    window after ``m`` takes ends after the last entry meeting both
-    bounds: everything behind it can neither be taken in this pass nor
-    block an entry in front of it.
-    """
-    bound = np.maximum(_earlier_mates(rows), _earlier_mates(cols))
-    bound = np.minimum.accumulate(bound[::-1])[::-1]
-    return np.searchsorted(bound, np.arange(width), side="right")
-
-
-def _earlier_mates(ids: np.ndarray) -> np.ndarray:
-    """How many earlier entries share each entry's id (ids < 65536)."""
-    order = np.argsort(ids.astype(np.uint16), kind="stable")  # a radix sort
-    counts = np.bincount(ids)
-    mates = np.empty(len(ids), dtype=np.int64)
-    mates[order] = np.arange(len(ids)) - (np.cumsum(counts) - counts)[ids[order]]
-    return mates
 
 
 def _pair_greedy_many(problems) -> list:
@@ -354,18 +277,16 @@ def _pair_greedy_many(problems) -> list:
     ``n_pairs=2``, pass one picks {(0,0), (2,2)} where a sequential
     sweep stops at {(0,0), (1,1)}.
 
-    The sweep is lazy: a problem's entries are loaded ``_CHUNK`` at a
-    time, dropping already-used rows/cols, and its next chunk is only
-    loaded once the current one runs dry short of ``n_pairs``.  Of a
-    loaded chunk, a pass only sees the prefix that can hold a pair to
-    take (:func:`_window`), which is usually a small part of it.  The
-    problems' row and column ids are offset so no two share one; every
-    pass then runs over one array of all problems' entries (each
-    problem's in sweep order), and the cap applies per problem by rank
-    among its own takes.
+    The sweep is lazy: a problem's sorted entries are loaded ``_CHUNK``
+    at a time, dropping already-used rows/cols, and its next chunk is
+    only loaded once the current one runs dry short of ``n_pairs``.
+    The problems' row and column ids are offset so no two share one;
+    every pass then runs over one array of all problems' loaded entries
+    (each problem's in sweep order), and the cap applies per problem by
+    rank among its own takes.
     """
     n_problems = len(problems)
-    near, sweeps = [], []
+    near, orders = [], []
     keeps = np.empty(n_problems, dtype=np.int64)
     need = np.empty(n_problems, dtype=np.int64)
     for p, (xy_a, xy_b, n_pairs) in enumerate(problems):
@@ -385,23 +306,13 @@ def _pair_greedy_many(problems) -> list:
         dist_y = np.subtract.outer(sub_a[:, 1], sub_b[:, 1])
         dist += np.abs(dist_y, out=dist_y)
         near.append((near_a, near_b))
-        sweeps.append(_Sweep(dist))
+        orders.append(np.argsort(dist, axis=None, kind="stable"))
         keeps[p] = keep
         need[p] = n_pairs
     base = np.concatenate(([0], np.cumsum(keeps)))  # row/col id offsets
     n_ids = int(base[-1])
     row_owner = np.repeat(np.arange(n_problems), keeps)
-    n_chunks = np.array([sweep.n_chunks for sweep in sweeps])
-
-    # Each problem's current chunk sits in its own _CHUNK-entry slot, of
-    # which the pass loop sees the first window[p, m] entries after m
-    # takes from the chunk (see _window).
-    slot_rows = np.empty(n_problems * _CHUNK, dtype=np.int64)
-    slot_cols = np.empty(n_problems * _CHUNK, dtype=np.int64)
-    window = np.zeros((n_problems, int(keeps.max(initial=0)) + 1), dtype=np.int64)
-    admitted = np.zeros(n_problems, dtype=np.int64)  # slot entries let in
-    in_chunk = np.zeros(n_problems, dtype=np.int64)  # takes from the chunk
-    problem_ids = np.arange(n_problems)
+    n_chunks = -(-keeps * keeps // _CHUNK)
 
     count = np.zeros(n_problems, dtype=np.int64)
     next_chunk = np.zeros(n_problems, dtype=np.int64)
@@ -416,35 +327,27 @@ def _pair_greedy_many(problems) -> list:
     while True:
         # Problems whose chunk ran dry short of n_pairs load their next one
         # (skipping chunks with nothing left on free rows and columns).
+        # A dry problem has no entries left, so appending keeps each
+        # problem's entries in sweep order.
+        loaded_rows, loaded_cols = [rows], [cols]
         for p in starving.tolist():
-            lo, hi = base[p], base[p + 1]
-            chunk_rows = chunk_cols = empty
-            while next_chunk[p] < n_chunks[p] and not len(chunk_rows):
-                chunk_rows, chunk_cols = sweeps[p].chunk(
-                    int(next_chunk[p]), free_rows[lo:hi], free_cols[lo:hi]
-                )
+            lo, keep = base[p], keeps[p]
+            while next_chunk[p] < n_chunks[p]:
+                start = next_chunk[p] * _CHUNK
                 next_chunk[p] += 1
-            slot = p * _CHUNK
-            slot_rows[slot : slot + len(chunk_rows)] = chunk_rows + lo
-            slot_cols[slot : slot + len(chunk_rows)] = chunk_cols + lo
-            if n_problems < _WINDOW_FROM or window.shape[1] > 65536:
-                window[p] = len(chunk_rows)
-            else:
-                window[p] = _window(chunk_rows, chunk_cols, window.shape[1])
-            admitted[p] = in_chunk[p] = 0
-        # Let in the entries each problem's takes so far have unlocked.
-        limit = window[problem_ids, in_chunk]
-        grow = np.flatnonzero(limit > admitted)
-        if len(grow):
-            starts = grow * _CHUNK + admitted[grow]
-            sizes = limit[grow] - admitted[grow]
-            ends = np.cumsum(sizes)
-            slots = np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
-            new_rows, new_cols = slot_rows[slots], slot_cols[slots]
-            alive = free_rows[new_rows] & free_cols[new_cols]
-            rows = np.concatenate((rows, new_rows[alive]))
-            cols = np.concatenate((cols, new_cols[alive]))
-            admitted[grow] = limit[grow]
+                chunk_rows, chunk_cols = np.divmod(
+                    orders[p][start : start + _CHUNK], keep
+                )
+                chunk_rows += lo
+                chunk_cols += lo
+                alive = free_rows[chunk_rows] & free_cols[chunk_cols]
+                if alive.any():
+                    loaded_rows.append(chunk_rows[alive])
+                    loaded_cols.append(chunk_cols[alive])
+                    break
+        if len(loaded_rows) > 1:
+            rows = np.concatenate(loaded_rows)
+            cols = np.concatenate(loaded_cols)
             if len(positions) < len(rows):
                 positions = np.arange(len(rows))
         if not len(rows):
@@ -472,11 +375,9 @@ def _pair_greedy_many(problems) -> list:
             take_rows, take_cols = take_rows[capped], take_cols[capped]
             taken = np.minimum(taken, room)
         count += taken
-        in_chunk += taken
         # A problem that is done retires all its rows (and so its entries).
         for p in np.flatnonzero((taken > 0) & (count == need)).tolist():
             free_rows[base[p] : base[p + 1]] = False
-            admitted[p] = _CHUNK
         taken_rows.append(take_rows)
         taken_cols.append(take_cols)
         free_rows[take_rows] = False
@@ -484,10 +385,9 @@ def _pair_greedy_many(problems) -> list:
         alive = free_rows[rows]
         alive &= free_cols[cols]
         rows, cols = rows[alive], cols[alive]
-        # A problem's earliest remaining entry is always let in and always
-        # taken, so one that took nothing has run dry.  (One that ran dry
-        # in this pass waits a pass; problems never touch each other's
-        # entries.)
+        # A problem's earliest remaining entry is always taken, so one
+        # that took nothing has run dry.  (One that ran dry in this pass
+        # waits a pass; problems never touch each other's entries.)
         starving = np.flatnonzero(
             (taken == 0) & (count < need) & (next_chunk < n_chunks)
         )

@@ -154,31 +154,29 @@ class RewardCalculator:
 
     def wirelength(self, placement: Placement) -> float:
         """Total wirelength in mm under the configured evaluator."""
-        if self.config.use_bump_assignment:
-            return self.assigner.assign(placement).total_wirelength
-        return estimate_wirelength(placement)
+        return self._wirelengths([placement])[0]
 
     def wirelength_many(self, placements) -> np.ndarray:
-        """Batched :meth:`wirelength`.
+        """Batched :meth:`wirelength`, with the bundle estimator vectorized."""
+        return np.asarray(self._wirelengths(list(placements), vectorized=True))
 
-        The bundle estimator vectorizes across the batch (summing nets
-        in a different order than the scalar estimator, so equal only
-        to float rounding); per-wire bump assignment runs the whole
-        batch through one :meth:`BumpAssigner.assign_many` call, bitwise
-        equal to assigning each placement alone.
+    def _wirelengths(self, placements: list, vectorized: bool = False):
+        """:meth:`wirelength` of each placement.
+
+        Per-wire bump assignment runs the whole batch through one
+        :meth:`BumpAssigner.assign_many` call, bitwise equal to assigning
+        each placement alone.  The bundle estimator runs per placement,
+        or with ``vectorized`` across the batch, which sums nets in a
+        different order (equal to the scalar estimator only to float
+        rounding).
         """
-        placements = list(placements)
-        if self.config.use_bump_assignment:
-            return np.array(self._exact_wirelengths(placements))
-        return estimate_wirelength_batch(placements)
-
-    def _exact_wirelengths(self, placements: list) -> list:
-        """:meth:`wirelength` of each placement, bitwise, batched where exact."""
         if self.config.use_bump_assignment:
             return [
                 assignment.total_wirelength
                 for assignment in self.assigner.assign_many(placements)
             ]
+        if vectorized:
+            return estimate_wirelength_batch(placements)
         return [estimate_wirelength(p) for p in placements]
 
     def evaluate_many(self, placements) -> np.ndarray:
@@ -245,7 +243,7 @@ class RewardCalculator:
                 [self.thermal.evaluate(p).max_temperature for p in placements]
             )
         rewards = np.empty(len(placements))
-        for i, wirelength in enumerate(self._exact_wirelengths(placements)):
+        for i, wirelength in enumerate(self._wirelengths(placements)):
             rewards[i] = self.config.combine(
                 wirelength, max_temps[i] - KELVIN_OFFSET
             )
@@ -270,7 +268,7 @@ class RewardCalculator:
             return []
         breakdowns = []
         start = time.perf_counter()
-        wirelengths = self._exact_wirelengths(placements)
+        wirelengths = self._wirelengths(placements)
         t_wl = (time.perf_counter() - start) / len(placements)
         for wirelength, thermal_result in zip(wirelengths, batch_eval(placements)):
             t_celsius = thermal_result.max_temperature - KELVIN_OFFSET

@@ -303,8 +303,7 @@ class TestPairGreedyMany:
     @given(seed=st.integers(0, 2**32 - 1), pitch=st.sampled_from([0.1, 0.5]))
     def test_random_tied_lattices_match_the_reference(self, seed, pitch):
         # Sites rounded to a lattice tie many distances; with up to 90
-        # sites a side, chunks are big enough to be windowed and some
-        # problems spill into later chunks.
+        # sites a side, some problems spill into later chunks.
         rng = np.random.default_rng(seed)
         problems = []
         for _ in range(4):
