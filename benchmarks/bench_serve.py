@@ -120,7 +120,6 @@ def run(args) -> int:
             0,
             store_dir=f"{tmp}/store",
             cache_dir=f"{tmp}/cache",
-            window_s=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
         ).start()
         try:
@@ -192,7 +191,6 @@ def run(args) -> int:
             "position_samples": args.positions,
             "requests": args.requests,
             "threads": args.threads,
-            "batch_window_ms": args.batch_window_ms,
         },
         "cold_start_ms": cold_s * 1000.0,
         "memoized_repeat": memoized,
@@ -233,7 +231,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads", type=int, default=8, help="concurrent client threads"
     )
-    parser.add_argument("--batch-window-ms", type=float, default=2.0)
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument(
         "--target",

@@ -20,6 +20,8 @@ threads — and checks every guarantee the serve layer makes:
    must come back ``cache=hit`` with ``evaluator_calls == 0`` and zero
    registry builds (the store outlives the process; nothing recomputes,
    nothing even re-characterizes).
+5. **Keep-alive** — the warm evaluates, sent through one shared client,
+   must open fewer connections than they send requests.
 
 Exit code 0 = all assertions hold.  Designed to finish in ~2 minutes
 on a single CI core.
@@ -36,7 +38,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -150,7 +151,7 @@ def wait_healthy(client: ServeClient, timeout: float = 30.0) -> None:
         try:
             if client.health().get("ok"):
                 return
-        except (ServeError, urllib.error.URLError, OSError):
+        except (ServeError, OSError):
             if time.monotonic() > deadline:
                 raise
         time.sleep(0.2)
@@ -212,6 +213,7 @@ def main(argv=None) -> int:
             burst = [future.result() for future in burst_futures]
 
         # Warm-cache evaluates against the now-warm bundles.
+        connections_before = client.stats()["connections"]
         with ThreadPoolExecutor(max_workers=4) as pool:
             evaluations = list(
                 pool.map(
@@ -224,6 +226,9 @@ def main(argv=None) -> int:
                     range(8),
                 )
             )
+        evaluate_connections = (
+            client.stats()["connections"] - connections_before
+        )
 
         print("[3/4] checking bitwise parity and single-flight coalescing")
         for system in SYSTEMS:
@@ -252,6 +257,12 @@ def main(argv=None) -> int:
                 raise AssertionError(
                     "warm evaluate disagrees with the arm's reward"
                 )
+        if evaluate_connections >= len(evaluations):
+            raise AssertionError(
+                f"{len(evaluations)} warm evaluates opened "
+                f"{evaluate_connections} connections: keep-alive is not "
+                "reusing them"
+            )
         stats = client.stats()
         if stats["registry"]["builds"] != len(SYSTEMS):
             raise AssertionError(
@@ -299,6 +310,7 @@ def main(argv=None) -> int:
                 "burst_caches": [r["cache"] for r in burst],
                 "repeat_cache": repeat["cache"],
                 "repeat_evaluator_calls": repeat["evaluator_calls"],
+                "evaluate_connections": evaluate_connections,
             }
         )
     )

@@ -303,13 +303,6 @@ def main(argv=None) -> int:
         "harness-wide .cache/thermal_tables)",
     )
     pv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch window: how long a request holds its batch "
-        "open for concurrent companions before computing (default 2ms)",
-    )
-    pv.add_argument(
         "--max-batch",
         type=int,
         default=16,
@@ -415,7 +408,6 @@ def main(argv=None) -> int:
             args.port,
             store_dir=None if args.no_store else args.store_dir,
             cache_dir=args.cache_dir,
-            window_s=args.batch_window_ms / 1000.0,
             max_batch=args.max_batch,
         )
         return 0

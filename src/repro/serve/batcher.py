@@ -2,12 +2,14 @@
 
 Request threads :meth:`submit` work items tagged with a *group key*
 (items in one group may ride the same batched call); a single worker
-thread drains the queue.  When the first item of a group arrives the
-worker waits a bounded window (``window_s``, a few ms) for companions,
-then runs the whole group through one ``run_batch`` call — so a lone
-request pays at most the window in added latency while a concurrent
-burst amortizes into one GEMM-shaped evaluation, exactly the traffic
-shape ``evaluate_batch``/``act_batch`` were built for.
+thread drains the queue.  Whenever the worker is free it takes every
+queued item of the oldest group (up to ``max_batch``) and runs them
+through one ``run_batch`` call.  A lone request on an idle worker
+therefore starts at once, while requests that arrive during a batch
+queue up and ride the next one together — a concurrent burst still
+amortizes into one GEMM-shaped evaluation, exactly the traffic shape
+``evaluate_batch``/``act_batch`` were built for, and nothing ever
+waits for companions that may not come.
 
 Correctness does not depend on batch composition: the batched
 evaluation paths this feeds are bitwise row-invariant (a placement's
@@ -19,7 +21,6 @@ decision.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 
 from repro.utils import get_logger
@@ -39,27 +40,20 @@ class MicroBatcher:
         order as ``payloads``).  Runs on the worker thread; an exception
         fails every item of that batch (independent batches are
         unaffected).
-    window_s:
-        How long the worker holds a batch open after its first item
-        arrives.  ``0`` still coalesces whatever is already queued.
     max_batch:
         Hard cap per batch; excess same-group items form the next batch.
     """
 
     def __init__(
-        self, run_batch, *, window_s: float = 0.002, max_batch: int = 16,
-        name: str = "batcher",
+        self, run_batch, *, max_batch: int = 16, name: str = "batcher"
     ):
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._run_batch = run_batch
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.name = name
         self._cond = threading.Condition()
-        self._queue: list = []  # [(group_key, payload, Future, arrival)]
+        self._queue: list = []  # [(group_key, payload, Future)]
         self._closed = False
         self.n_batches = 0
         self.n_items = 0
@@ -77,7 +71,7 @@ class MicroBatcher:
         with self._cond:
             if self._closed:
                 raise RuntimeError(f"{self.name} is closed")
-            self._queue.append((group_key, payload, future, time.monotonic()))
+            self._queue.append((group_key, payload, future))
             self._cond.notify()
         return future
 
@@ -95,7 +89,7 @@ class MicroBatcher:
         # Fail anything still queued so no client blocks forever.
         with self._cond:
             leftovers, self._queue = self._queue, []
-        for _, _, future, _ in leftovers:
+        for _, _, future in leftovers:
             future.set_exception(RuntimeError(f"{self.name} closed"))
 
     def __enter__(self) -> "MicroBatcher":
@@ -107,38 +101,25 @@ class MicroBatcher:
     # -- worker side ---------------------------------------------------
 
     def _take_batch(self) -> list | None:
-        """Block until a full window has passed for the oldest group.
+        """Block until something is queued; take the oldest group.
 
         Returns the batch (oldest group's items, submission order,
         capped at ``max_batch``) or ``None`` at shutdown.
         """
         with self._cond:
-            while True:
-                if not self._queue:
-                    if self._closed:
-                        return None
-                    self._cond.wait()
-                    continue
-                group_key = self._queue[0][0]
-                deadline = self._queue[0][3] + self.window_s
-                remaining = deadline - time.monotonic()
-                matching = sum(
-                    1 for item in self._queue if item[0] == group_key
-                )
-                if (
-                    remaining <= 0
-                    or matching >= self.max_batch
-                    or self._closed
-                ):
-                    batch = [
-                        item for item in self._queue if item[0] == group_key
-                    ][: self.max_batch]
-                    taken = set(id(item) for item in batch)
-                    self._queue = [
-                        item for item in self._queue if id(item) not in taken
-                    ]
-                    return batch
-                self._cond.wait(timeout=remaining)
+            while not self._queue:
+                if self._closed:
+                    return None
+                self._cond.wait()
+            group_key = self._queue[0][0]
+            batch, rest = [], []
+            for item in self._queue:
+                if item[0] == group_key and len(batch) < self.max_batch:
+                    batch.append(item)
+                else:
+                    rest.append(item)
+            self._queue = rest
+            return batch
 
     def _run(self) -> None:
         while True:
@@ -155,7 +136,7 @@ class MicroBatcher:
                         f"results for {len(payloads)} payloads"
                     )
             except BaseException as error:  # noqa: BLE001 — fail the batch
-                for _, _, future, _ in batch:
+                for _, _, future in batch:
                     if not future.cancelled():
                         future.set_exception(error)
                 continue
@@ -163,7 +144,7 @@ class MicroBatcher:
                 self.n_batches += 1
                 self.n_items += len(batch)
                 self.largest_batch = max(self.largest_batch, len(batch))
-            for (_, _, future, _), result in zip(batch, results):
+            for (_, _, future), result in zip(batch, results):
                 if not future.cancelled():
                     future.set_result(result)
 

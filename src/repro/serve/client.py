@@ -1,6 +1,8 @@
-"""Stdlib client for the floorplanning service (urllib, no deps).
+"""Stdlib client for the floorplanning service (http.client, no deps).
 
 Used by ``repro.cli submit``, the CI smoke, and the serve benchmark.
+Requests ride persistent HTTP/1.1 connections, so a stream of requests
+pays one TCP handshake (and one server thread) rather than one each.
 JSON floats round-trip exactly through Python's encoder/parser, so
 values read back here are bitwise-comparable against locally computed
 results.
@@ -8,11 +10,21 @@ results.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import weakref
+from urllib.parse import urlsplit
 
 __all__ = ["ServeClient", "ServeError"]
+
+#: How a request fails when the server closed its idle connection
+#: before the request arrived.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
 
 
 class ServeError(RuntimeError):
@@ -24,9 +36,43 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
+    """Client of one service; safe to share between threads.
+
+    An ``http.client`` connection serves one request at a time, so the
+    client keeps a pool of idle keep-alive connections: a call takes one
+    (or opens one) and puts it back when its answer is read.  A request
+    that fails on a *reused* connection before any answer arrives —
+    the server closed it while idle — is sent once more on a fresh
+    connection.  Resending is safe because every endpoint is
+    idempotent: ``evaluate`` is pure, ``place`` is memoized and
+    single-flighted, and registering a policy replaces it.
+    """
+
     def __init__(self, base_url: str, timeout: float = 600.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http:// URL, got {base_url!r}")
+        self._address = (parts.hostname, parts.port)
+        self._prefix = parts.path
+        self._idle: list = []  # idle keep-alive HTTPConnections
+        self._lock = threading.Lock()
+        # A client dropped without close() still closes its sockets.
+        weakref.finalize(self, _close_all, self._idle)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._lock:
+            idle = list(self._idle)
+            self._idle.clear()
+        _close_all(idle)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------
 
@@ -34,22 +80,30 @@ class ServeClient:
         self, method: str, path: str, body: bytes | None = None,
         content_type: str = "application/json",
     ) -> dict:
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=body,
-            method=method,
-            headers={"Content-Type": content_type} if body else {},
-        )
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                *self._address, timeout=self.timeout
+            )
+        headers = {"Content-Type": content_type} if body else {}
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return json.loads(reply.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read().decode("utf-8", errors="replace")
+            status, raw = _exchange(
+                connection, method, self._prefix + path, body, headers
+            )
+        except BaseException:
+            connection.close()
+            raise
+        with self._lock:
+            self._idle.append(connection)
+        if not 200 <= status < 300:
+            text = raw.decode("utf-8", errors="replace")
             try:
-                message = json.loads(raw).get("error", raw)
+                message = json.loads(text).get("error", text)
             except json.JSONDecodeError:
-                message = raw
-            raise ServeError(error.code, message) from None
+                message = text
+            raise ServeError(status, message)
+        return json.loads(raw.decode("utf-8"))
 
     def _post_json(self, path: str, payload: dict) -> dict:
         return self._request(
@@ -122,3 +176,23 @@ class ServeClient:
             payload,
             content_type="application/octet-stream",
         )
+
+
+def _close_all(connections) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _exchange(connection, method, url, body, headers) -> tuple:
+    """One request/answer on ``connection``: ``(status, body bytes)``."""
+    reused = connection.sock is not None
+    try:
+        connection.request(method, url, body=body, headers=headers)
+        reply = connection.getresponse()
+    except _STALE_CONNECTION:
+        if not reused:
+            raise
+        connection.close()
+        connection.request(method, url, body=body, headers=headers)
+        reply = connection.getresponse()
+    return reply.status, reply.read()

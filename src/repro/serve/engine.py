@@ -35,7 +35,7 @@ from repro.experiments.runner import dispatch_method_arm
 from repro.nn.serialization import loads_payload
 from repro.parallel.collector import POLICY_PAYLOAD_KIND, collect_wave
 from repro.serve.batcher import MicroBatcher
-from repro.serve.registry import WarmRegistry
+from repro.serve.registry import WarmRegistry, bundle_key, bundle_knobs
 from repro.serve.schema import (
     BadRequest,
     breakdown_to_dict,
@@ -80,28 +80,22 @@ class ServeEngine:
         store_dir=None,
         cache_dir=None,
         *,
-        window_s: float = 0.002,
         max_batch: int = 16,
         registry: WarmRegistry | None = None,
     ):
         self.registry = registry or WarmRegistry(cache_dir)
         self.store = RunStore(store_dir) if store_dir is not None else None
         self._eval_batcher = MicroBatcher(
-            self._run_evaluate_batch,
-            window_s=window_s,
-            max_batch=max_batch,
-            name="evaluate",
+            self._run_evaluate_batch, max_batch=max_batch, name="evaluate"
         )
         self._rollout_batcher = MicroBatcher(
-            self._run_rollout_batch,
-            window_s=window_s,
-            max_batch=max_batch,
-            name="rollout",
+            self._run_rollout_batch, max_batch=max_batch, name="rollout"
         )
         self._policies: dict = {}  # name -> {"state": dict, "channels": tuple}
         self._networks: dict = {}  # (policy, bundle_key, grid) -> ActorCritic
         self._envs: dict = {}  # (bundle_key, grid) -> (env, batched_env)
         self._specs: dict = {}  # benchmark name -> BenchmarkSpec
+        self._keys: dict = {}  # see _content_key
         self._inflight: dict = {}  # place key -> Future
         self._lock = threading.Lock()
         self._started = time.monotonic()
@@ -121,6 +115,30 @@ class ServeEngine:
             raise BadRequest(str(error)) from error
         with self._lock:
             return self._specs.setdefault(name, spec)
+
+    def _content_key(self, memo: tuple, compute) -> str:
+        """A content key, computed once per distinct ``memo``.
+
+        Content keys hash the benchmark's whole fingerprint (~0.3 ms a
+        key).  Specs are pure in their name, so ``memo`` names the spec
+        by name plus the fields the key reads: bundle keys grow with the
+        registry's bundles, place keys with the distinct place requests
+        (as the store does).
+        """
+        with self._lock:
+            key = self._keys.get(memo)
+        if key is None:
+            key = compute()
+            with self._lock:
+                key = self._keys.setdefault(memo, key)
+        return key
+
+    def _bundle(self, spec, budget):
+        key = self._content_key(
+            ("bundle", spec.name, bundle_knobs(budget)),
+            lambda: bundle_key(spec, budget),
+        )
+        return self.registry.bundle(spec, budget, key=key)
 
     def _count(self, kind: str) -> None:
         with self._lock:
@@ -150,8 +168,10 @@ class ServeEngine:
             if method == "TAP-2.5D*(FastThermal)" and budget.sa_time_matched
             else None
         )
-        key = place_store_key(
-            spec, method, budget, time_limited=bool(time_matched)
+        time_limited = bool(time_matched)
+        key = self._content_key(
+            ("place", spec.name, method, budget, time_limited),
+            lambda: place_store_key(spec, method, budget, time_limited),
         )
         if self.store is not None:
             hit, cached = self.store.fetch(key)
@@ -172,7 +192,7 @@ class ServeEngine:
                 value, key, cache="inflight", evaluator_calls=0
             )
         try:
-            bundle = self.registry.bundle(spec, budget)
+            bundle = self._bundle(spec, budget)
             with bundle.lock:
                 calls_before = bundle.evaluator_calls()
                 capture: dict = {}
@@ -226,7 +246,7 @@ class ServeEngine:
         """
         self._count("evaluate")
         spec = self._spec(system)
-        bundle = self.registry.bundle(spec, budget)
+        bundle = self._bundle(spec, budget)
         try:
             decoded = Placement.from_dict(spec.system, placement)
         except (KeyError, ValueError, TypeError) as error:
@@ -295,7 +315,7 @@ class ServeEngine:
             raise BadRequest(
                 f"unknown policy {policy!r}; register it via POST /v1/policies"
             )
-        bundle = self.registry.bundle(spec, budget)
+        bundle = self._bundle(spec, budget)
         grid = budget.grid_size
         env_key = (bundle.key, spec.name, grid)
         net_key = (policy, bundle.key, spec.name, grid)

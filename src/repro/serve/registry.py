@@ -34,28 +34,35 @@ from repro.experiments.runner import build_evaluators, spec_fingerprint
 from repro.store import store_key
 from repro.utils import get_logger
 
-__all__ = ["EvaluatorBundle", "WarmRegistry", "bundle_key"]
+__all__ = ["EvaluatorBundle", "WarmRegistry", "bundle_key", "bundle_knobs"]
 
 _logger = get_logger("serve.registry")
+
+
+def bundle_knobs(budget) -> tuple:
+    """The budget fields that change what ``build_evaluators``
+    constructs: the characterization density, and whether the grid
+    solver caches its factorization."""
+    return (
+        tuple(budget.position_samples),
+        bool(budget.hotspot_reuse_factorization),
+    )
 
 
 def bundle_key(spec, budget) -> str:
     """Content key of one warm evaluator bundle.
 
-    Only the knobs that change what ``build_evaluators`` constructs
-    participate: the benchmark's content fingerprint, the
-    characterization density, and whether the grid solver caches its
-    factorization.  Budgets differing only in training/annealing knobs
+    Only the benchmark's content fingerprint and :func:`bundle_knobs`
+    participate.  Budgets differing only in training/annealing knobs
     share a bundle.
     """
+    position_samples, reuse_factorization = bundle_knobs(budget)
     return store_key(
         "serve-evaluators",
         {
             "spec": spec_fingerprint(spec),
-            "position_samples": tuple(budget.position_samples),
-            "hotspot_reuse_factorization": bool(
-                budget.hotspot_reuse_factorization
-            ),
+            "position_samples": position_samples,
+            "hotspot_reuse_factorization": reuse_factorization,
         },
     )
 
@@ -104,17 +111,20 @@ class WarmRegistry:
         self.misses = 0
         self.builds = 0
 
-    def bundle(self, spec, budget) -> EvaluatorBundle:
+    def bundle(self, spec, budget, key: str | None = None) -> EvaluatorBundle:
         """The warm bundle for (spec, budget) — built at most once.
 
-        The first thread in becomes the builder; concurrent requesters
-        of the same key block until the build publishes (or re-raise
-        the builder's error — a failed build is dropped so a later
-        request can retry rather than caching the failure forever).
+        ``key`` is ``bundle_key(spec, budget)`` when the caller has it
+        already.  The first thread in becomes the builder; concurrent
+        requesters of the same key block until the build publishes (or
+        re-raise the builder's error — a failed build is dropped so a
+        later request can retry rather than caching the failure
+        forever).
         """
         import time
 
-        key = bundle_key(spec, budget)
+        if key is None:
+            key = bundle_key(spec, budget)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

@@ -1,8 +1,11 @@
 """Stdlib-HTTP front end for the floorplanning service.
 
-``ThreadingHTTPServer`` gives each request its own thread; the handler
-is a thin JSON codec around one shared :class:`ServeEngine`, which is
-where warmth, batching, and memoization live.  Endpoints:
+``ThreadingHTTPServer`` gives each connection its own thread; the
+handler is a thin JSON codec around one shared :class:`ServeEngine`,
+which is where warmth, batching, and memoization live.  Connections
+are HTTP/1.1 keep-alive: a client sends request after request on one
+socket, and the server drops a connection that idles for
+:data:`IDLE_TIMEOUT_S`.  Endpoints:
 
 ========  =====================  ========================================
 method    path                   body / result
@@ -26,6 +29,7 @@ JSON ``NaN`` tokens, matching Python's default parser.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -46,9 +50,18 @@ _logger = get_logger("serve.server")
 #: benchmarks is well under 1 MiB; this is a safety bound, not a quota).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Seconds a keep-alive connection may sit idle between requests before
+#: the server closes it, so an abandoned connection does not pin its
+#: handler thread forever.  Clients resend on a fresh connection.
+IDLE_TIMEOUT_S = 30.0
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # Headers and body go out in two sends; with Nagle's algorithm the
+    # body waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
     # Set by FloorplanServer:
     engine: ServeEngine
 
@@ -57,19 +70,46 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # route through repo logging
         _logger.debug("%s %s", self.address_string(), fmt % args)
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
     def _send_json(self, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
+        in_sync = self._drain_body()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not in_sync:
+            # The request body is still on the socket: the next request
+            # on this connection would be parsed from it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        if "Transfer-Encoding" in self.headers:
+            raise BadRequest("chunked request bodies are not supported")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise BadRequest("bad Content-Length header") from None
         if length < 0 or length > MAX_BODY_BYTES:
             raise BadRequest(f"request body too large ({length} bytes)")
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self._body_read = True
+        return body
+
+    def _drain_body(self) -> bool:
+        """Consume the request body if no route read it; ``False`` when
+        it cannot be (too large, chunked, malformed length)."""
+        if self._body_read:
+            return True
+        try:
+            self._read_body()
+        except BadRequest:
+            return False
+        return True
 
     def _read_json(self) -> dict:
         raw = self._read_body()
@@ -98,7 +138,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/v1/health":
             self._dispatch(lambda: {"ok": True})
         elif path == "/v1/stats":
-            self._dispatch(self.engine.stats)
+            self._dispatch(
+                lambda: dict(
+                    self.engine.stats(), connections=self.server.connections
+                )
+            )
         elif path == "/v1/benchmarks":
             from repro.systems import benchmark_names
 
@@ -162,6 +206,38 @@ class _Handler(BaseHTTPRequestHandler):
         return self.engine.register_policy(name, self._read_body(), channels)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Counts accepted connections and can drop the open ones."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.connections = 0
+        self._open: set = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self.connections += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def drop_connections(self) -> None:
+        """End every open connection: idle keep-alive handlers would
+        otherwise keep answering from a closed engine."""
+        with self._open_lock:
+            sockets = list(self._open)
+        for sock in sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+
+
 class FloorplanServer:
     """Owns the listening socket, the engine, and the serving thread."""
 
@@ -173,18 +249,13 @@ class FloorplanServer:
         engine: ServeEngine | None = None,
         store_dir=None,
         cache_dir=None,
-        window_s: float = 0.002,
         max_batch: int = 16,
     ):
         self.engine = engine or ServeEngine(
-            store_dir=store_dir,
-            cache_dir=cache_dir,
-            window_s=window_s,
-            max_batch=max_batch,
+            store_dir=store_dir, cache_dir=cache_dir, max_batch=max_batch
         )
         handler = type("BoundHandler", (_Handler,), {"engine": self.engine})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -218,6 +289,7 @@ class FloorplanServer:
     def close(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.drop_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -236,7 +308,6 @@ def serve_forever(
     *,
     store_dir=None,
     cache_dir=None,
-    window_s: float = 0.002,
     max_batch: int = 16,
 ) -> None:
     """Blocking entrypoint used by ``repro.cli serve``/``scripts/serve.py``."""
@@ -245,7 +316,6 @@ def serve_forever(
         port,
         store_dir=store_dir,
         cache_dir=cache_dir,
-        window_s=window_s,
         max_batch=max_batch,
     )
     print(f"floorplan service listening on {server.url}")

@@ -16,19 +16,30 @@ Covers each layer in isolation and then the stack end to end:
 * The HTTP surface — health/benchmarks/error codes, served responses
   over real sockets, policy registration, and rollout determinism
   (batch-width invariance via the padded wave path).
+* Keep-alive — the server keeps each connection in sync with its
+  requests and drops idle ones; :class:`ServeClient` pools connections
+  across threads and resends once on a connection the server closed.
 
 Serve-stack tests share one module-scoped server: the expensive parts
 (thermal characterization, the cold place arm) run once and every later
 test exercises the warm paths — which is exactly the deployment shape.
 """
 
+import http.client
+import json
+import select
+import socket
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.serve.server as server_module
 from repro.agent.networks import ActorCritic
+from repro.baselines.random_search import random_legal_placement
 from repro.chiplet import Placement
 from repro.env import EnvConfig, FloorplanEnv
 from repro.experiments.runner import ExperimentBudget
@@ -42,8 +53,13 @@ from repro.serve import (
     ServeError,
     WarmRegistry,
     bundle_key,
+    place_store_key,
 )
-from repro.serve.schema import budget_from_dict, budget_to_dict
+from repro.serve.schema import (
+    breakdown_to_dict,
+    budget_from_dict,
+    budget_to_dict,
+)
 from repro.systems import get_benchmark
 
 import numpy as np
@@ -95,7 +111,7 @@ class _GatedBatches:
 class TestMicroBatcher:
     def test_coalesces_queued_items_in_submission_order(self):
         gate = _GatedBatches()
-        with MicroBatcher(gate, window_s=0.0, max_batch=8) as batcher:
+        with MicroBatcher(gate, max_batch=8) as batcher:
             first = batcher.submit("g", 1)
             assert gate.first_started.wait(timeout=10.0)
             rest = [batcher.submit("g", value) for value in (2, 3, 4, 5)]
@@ -112,7 +128,7 @@ class TestMicroBatcher:
 
     def test_max_batch_caps_each_batch(self):
         gate = _GatedBatches()
-        with MicroBatcher(gate, window_s=0.0, max_batch=3) as batcher:
+        with MicroBatcher(gate, max_batch=3) as batcher:
             leader = batcher.submit("g", 0)
             assert gate.first_started.wait(timeout=10.0)
             futures = [batcher.submit("g", value) for value in range(1, 8)]
@@ -125,7 +141,7 @@ class TestMicroBatcher:
 
     def test_groups_never_share_a_batch(self):
         gate = _GatedBatches()
-        with MicroBatcher(gate, window_s=0.0, max_batch=8) as batcher:
+        with MicroBatcher(gate, max_batch=8) as batcher:
             leader = batcher.submit("a", 0)
             assert gate.first_started.wait(timeout=10.0)
             futures = [
@@ -146,7 +162,7 @@ class TestMicroBatcher:
                 raise RuntimeError("boom")
             return payloads
 
-        with MicroBatcher(run_batch, window_s=0.0) as batcher:
+        with MicroBatcher(run_batch) as batcher:
             bad = batcher.submit("bad", 1)
             with pytest.raises(RuntimeError, match="boom"):
                 bad.result(timeout=10.0)
@@ -154,19 +170,17 @@ class TestMicroBatcher:
             assert batcher.call("good", 7) == 7
 
     def test_wrong_result_length_fails_the_batch(self):
-        with MicroBatcher(lambda g, p: [], window_s=0.0) as batcher:
+        with MicroBatcher(lambda g, p: []) as batcher:
             with pytest.raises(RuntimeError, match="0 results"):
                 batcher.call("g", 1)
 
     def test_submit_after_close_raises(self):
-        batcher = MicroBatcher(lambda g, p: p, window_s=0.0)
+        batcher = MicroBatcher(lambda g, p: p)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit("g", 1)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda g, p: p, window_s=-1.0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda g, p: p, max_batch=0)
 
@@ -322,7 +336,6 @@ def serve_stack(tmp_path_factory):
         0,
         store_dir=root / "store",
         cache_dir=root / "cache",
-        window_s=0.005,
         max_batch=8,
     ).start()
     client = ServeClient(server.url, timeout=600.0)
@@ -434,6 +447,30 @@ class TestServeEngine:
                 "synthetic1", {"bogus": 1}, "fast", serve_budget
             )
 
+    def test_memoized_keys_equal_fresh_ones(
+        self, serve_stack, serve_budget, cold_place, monkeypatch
+    ):
+        import repro.serve.engine as engine_module
+
+        server, _ = serve_stack
+        spec = get_benchmark("synthetic1")
+        reseeded = tiny_budget(seed=serve_budget.seed + 1)
+        fresh_bundle = bundle_key(spec, reseeded)
+        fresh_place = place_store_key(
+            spec, METHOD, serve_budget, time_limited=False
+        )
+
+        def recomputed(*_args, **_kwargs):
+            raise AssertionError("a memoized key was computed again")
+
+        # The cold place computed both keys; later requests recall them,
+        # and a seed-only change shares the bundle key.
+        monkeypatch.setattr(engine_module, "bundle_key", recomputed)
+        monkeypatch.setattr(engine_module, "place_store_key", recomputed)
+        assert server.engine._bundle(spec, reseeded).key == fresh_bundle
+        warm = server.engine.place("synthetic1", METHOD, serve_budget)
+        assert warm["store_key"] == fresh_place
+
 
 class TestHTTPSurface:
     def test_health_and_benchmarks(self, serve_stack):
@@ -484,6 +521,136 @@ class TestHTTPSurface:
         assert stats["registry"]["builds"] >= 1
         assert set(stats["batchers"]) == {"evaluate", "rollout"}
         assert stats["store"]["hits"] >= 1
+
+
+class TestKeepAlive:
+    def test_unknown_post_path_leaves_the_connection_in_sync(
+        self, serve_stack
+    ):
+        server, _ = serve_stack
+        connection = http.client.HTTPConnection(*server.address, timeout=60)
+        try:
+            connection.request("POST", "/v1/nope", body=b'{"x": 1}')
+            reply = connection.getresponse()
+            assert reply.status == 404
+            reply.read()
+            # The unread body must not be parsed as the next request.
+            connection.request("GET", "/v1/health")
+            reply = connection.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read()) == {"ok": True}
+        finally:
+            connection.close()
+
+    def test_oversized_body_closes_the_connection(self, serve_stack):
+        server, _ = serve_stack
+        limit = server_module.MAX_BODY_BYTES
+        with socket.create_connection(server.address, timeout=60) as sock:
+            sock.sendall(
+                b"POST /v1/evaluate HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {limit + 1}\r\n\r\n".encode()
+            )
+            reply = http.client.HTTPResponse(sock)
+            reply.begin()
+            assert reply.status == 400
+            assert "too large" in json.loads(reply.read())["error"]
+            assert reply.will_close
+            assert sock.recv(1) == b""  # the server hung up
+            reply.close()
+        assert ServeClient(server.url).health() == {"ok": True}
+
+    def test_one_client_keeps_one_connection_until_closed(self, serve_stack):
+        server, _ = serve_stack
+        client = ServeClient(server.url)
+        opened = client.stats()["connections"]
+        with pytest.raises(ServeError) as excinfo:
+            client._request("GET", "/v1/nope")
+        assert excinfo.value.status == 404
+        assert "no such endpoint '/v1/nope'" in str(excinfo.value)
+        with pytest.raises(ServeError) as excinfo:
+            client.place("synthetic1", "NoSuchMethod")
+        assert excinfo.value.status == 400
+        assert "unknown method 'NoSuchMethod'" in str(excinfo.value)
+        assert client.stats()["connections"] == opened
+        client.close()
+        assert client.stats()["connections"] == opened + 1
+
+    def test_shared_client_matches_the_engine_bitwise(
+        self, serve_stack, serve_budget, cold_place
+    ):
+        server, _ = serve_stack
+        spec = get_benchmark("synthetic1")
+        rng = np.random.default_rng(3)
+        placements = [cold_place["placement"]] + [
+            random_legal_placement(spec.system, rng).as_dict()
+            for _ in range(7)
+        ]
+        bundle = server.engine.registry.bundle(spec, serve_budget)
+        with bundle.lock:
+            direct = [
+                breakdown_to_dict(
+                    bundle.evaluators["reward_fast"].evaluate(
+                        Placement.from_dict(spec.system, placement)
+                    )
+                )
+                for placement in placements
+            ]
+        budget_dict = budget_to_dict(serve_budget)
+        n = 4 * len(placements)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the pool's threads
+        try:
+            with ServeClient(server.url) as client:
+                opened = client.stats()["connections"]
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    served = list(
+                        pool.map(
+                            lambda i: client.evaluate(
+                                "synthetic1",
+                                placements[i % len(placements)],
+                                "fast",
+                                budget_dict,
+                            ),
+                            range(n),
+                        )
+                    )
+                # One connection per concurrent caller, the first reused.
+                assert client.stats()["connections"] - opened <= 7
+        finally:
+            sys.setswitchinterval(interval)
+        for index, response in enumerate(served):
+            expected = direct[index % len(placements)]
+            for field, value in expected.items():
+                assert bits(response[field]) == bits(value), (index, field)
+
+    def test_idle_close_is_absorbed_by_one_resend(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.1)
+        connects = []
+        real_connect = http.client.HTTPConnection.connect
+
+        def counting_connect(connection):
+            connects.append(connection)
+            real_connect(connection)
+
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "connect", counting_connect
+        )
+        with FloorplanServer("127.0.0.1", 0, cache_dir=tmp_path) as server:
+            client = ServeClient(server.url)
+            assert client.health() == {"ok": True}
+            (idle,) = client._idle
+            # Readable at EOF: the server closed the idle connection.
+            assert select.select([idle.sock], [], [], 10.0)[0]
+            assert client.health() == {"ok": True}
+        assert len(connects) == 2
+
+    def test_server_close_ends_keep_alive_connections(self, tmp_path):
+        server = FloorplanServer("127.0.0.1", 0, cache_dir=tmp_path).start()
+        client = ServeClient(server.url)
+        assert client.health() == {"ok": True}
+        server.close()
+        with pytest.raises(OSError):
+            client.health()
 
 
 class TestPolicyServing:
